@@ -26,6 +26,66 @@ Checker::loadState(std::istream& is)
     return true;
 }
 
+CheckerRun::CheckerRun(const std::vector<Checker*>& checkers,
+                       const support::DiagnosticSink& sink)
+    : elapsed(checkers.size(), std::chrono::steady_clock::duration::zero()),
+      checkers_(checkers)
+{
+    // Baseline per-checker counts, so stats reflect only this run even if
+    // the sink already held diagnostics.
+    for (Checker* checker : checkers) {
+        checker->reset();
+        base_errors_.push_back(sink.countForChecker(
+            checker->name(), support::Severity::Error));
+        base_warnings_.push_back(sink.countForChecker(
+            checker->name(), support::Severity::Warning));
+    }
+}
+
+std::vector<CheckerRunStats>
+CheckerRun::finish(CheckContext& ctx)
+{
+    using Clock = std::chrono::steady_clock;
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    support::TraceRecorder& tracer = support::TraceRecorder::global();
+    for (std::size_t i = 0; i < checkers_.size(); ++i) {
+        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                                checkers_[i]->name() + ".program",
+                                "checker");
+        Clock::time_point t0 = Clock::now();
+        checkers_[i]->checkProgram(ctx);
+        elapsed[i] += Clock::now() - t0;
+    }
+
+    std::vector<CheckerRunStats> stats;
+    for (std::size_t i = 0; i < checkers_.size(); ++i) {
+        CheckerRunStats s;
+        s.checker = checkers_[i]->name();
+        s.errors = ctx.sink.countForChecker(s.checker,
+                                            support::Severity::Error) -
+                   base_errors_[i];
+        s.warnings = ctx.sink.countForChecker(
+                         s.checker, support::Severity::Warning) -
+                     base_warnings_[i];
+        s.applied = checkers_[i]->applied();
+        s.wall_ms =
+            std::chrono::duration<double, std::milli>(elapsed[i]).count();
+        if (metrics.enabled()) {
+            metrics.timer("checker." + s.checker)
+                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    elapsed[i]));
+            metrics.counter("checker." + s.checker + ".errors")
+                .add(static_cast<std::uint64_t>(s.errors));
+            metrics.counter("checker." + s.checker + ".warnings")
+                .add(static_cast<std::uint64_t>(s.warnings));
+            metrics.counter("checker." + s.checker + ".applied")
+                .add(static_cast<std::uint64_t>(s.applied));
+        }
+        stats.push_back(std::move(s));
+    }
+    return stats;
+}
+
 std::vector<CheckerRunStats>
 runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
             const std::vector<Checker*>& checkers,
@@ -43,25 +103,11 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
         metrics.counter("budget.truncations").add(0);
     }
 
-    // Baseline per-checker counts, so stats reflect only this run even if
-    // the sink already held diagnostics.
-    std::vector<int> base_errors;
-    std::vector<int> base_warnings;
-    for (Checker* checker : checkers) {
-        checker->reset();
-        base_errors.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Error));
-        base_warnings.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Warning));
-    }
-
     // Per-checker wall time, accumulated across every function pass plus
     // the program-level pass. One steady_clock read per (function,
     // checker) pair — microseconds against the checking work itself.
     using Clock = std::chrono::steady_clock;
-    std::vector<Clock::duration> elapsed(checkers.size(),
-                                         Clock::duration::zero());
-
+    CheckerRun run(checkers, sink);
     for (const lang::FunctionDecl* fn : program.functions()) {
         cfg::Cfg cfg = cfg::CfgBuilder::build(*fn);
         for (std::size_t i = 0; i < checkers.size(); ++i) {
@@ -71,45 +117,10 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
                 span.arg("function", fn->name);
             Clock::time_point t0 = Clock::now();
             checkers[i]->checkFunction(*fn, cfg, ctx);
-            elapsed[i] += Clock::now() - t0;
+            run.elapsed[i] += Clock::now() - t0;
         }
     }
-    for (std::size_t i = 0; i < checkers.size(); ++i) {
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                checkers[i]->name() + ".program",
-                                "checker");
-        Clock::time_point t0 = Clock::now();
-        checkers[i]->checkProgram(ctx);
-        elapsed[i] += Clock::now() - t0;
-    }
-
-    std::vector<CheckerRunStats> stats;
-    for (std::size_t i = 0; i < checkers.size(); ++i) {
-        CheckerRunStats s;
-        s.checker = checkers[i]->name();
-        s.errors = sink.countForChecker(s.checker,
-                                        support::Severity::Error) -
-                   base_errors[i];
-        s.warnings = sink.countForChecker(s.checker,
-                                          support::Severity::Warning) -
-                     base_warnings[i];
-        s.applied = checkers[i]->applied();
-        s.wall_ms =
-            std::chrono::duration<double, std::milli>(elapsed[i]).count();
-        if (metrics.enabled()) {
-            metrics.timer("checker." + s.checker)
-                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed[i]));
-            metrics.counter("checker." + s.checker + ".errors")
-                .add(static_cast<std::uint64_t>(s.errors));
-            metrics.counter("checker." + s.checker + ".warnings")
-                .add(static_cast<std::uint64_t>(s.warnings));
-            metrics.counter("checker." + s.checker + ".applied")
-                .add(static_cast<std::uint64_t>(s.applied));
-        }
-        stats.push_back(std::move(s));
-    }
-    return stats;
+    return run.finish(ctx);
 }
 
 } // namespace mc::checkers

@@ -6,6 +6,7 @@
 #include "lang/program.h"
 #include "support/diagnostics.h"
 
+#include <chrono>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -102,6 +103,30 @@ struct CheckerRunStats
     int applied = 0;
     /** Wall time this checker spent (function passes + program pass). */
     double wall_ms = 0.0;
+};
+
+/**
+ * The bookkeeping every runner keeps around its function passes.
+ * Construction resets the checkers and notes the findings each one
+ * already has in the sink; runners add each checker's function-pass
+ * time to `elapsed`; finish() runs the program-level passes and
+ * returns the run's per-checker statistics, also published as the
+ * checker.* metrics.
+ */
+class CheckerRun
+{
+  public:
+    CheckerRun(const std::vector<Checker*>& checkers,
+               const support::DiagnosticSink& sink);
+
+    std::vector<CheckerRunStats> finish(CheckContext& ctx);
+
+    std::vector<std::chrono::steady_clock::duration> elapsed;
+
+  private:
+    std::vector<Checker*> checkers_;
+    std::vector<int> base_errors_;
+    std::vector<int> base_warnings_;
 };
 
 /**

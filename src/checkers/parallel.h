@@ -1,57 +1,9 @@
 #ifndef MCHECK_CHECKERS_PARALLEL_H
 #define MCHECK_CHECKERS_PARALLEL_H
 
-#include "cache/analysis_cache.h"
-#include "checkers/checker.h"
-#include "checkers/registry.h"
-#include "support/budget.h"
-#include "support/thread_pool.h"
-
-#include <map>
-#include <mutex>
+#include "checkers/unit_executor.h"
 
 namespace mc::checkers {
-
-/**
- * Resident CFG store for long-lived callers (the checking daemon).
- *
- * Keyed by function *declaration pointer*: the AST arena is append-only,
- * so a declaration that survives an incremental re-parse keeps its
- * address (and its CFG here stays valid — CFGs hold pointers into the
- * same arena), while a re-parsed file's functions get fresh declarations
- * and therefore fresh entries. Stale entries for replaced declarations
- * are never looked up again; they are reclaimed when the owner drops the
- * whole cache (the daemon does so whenever it rebuilds a program).
- *
- * Entries are inserted with their backEdges() cache pre-warmed while the
- * CFG still has a single owner, so concurrent phase-2 units only ever
- * *read* a resident CFG.
- */
-struct CfgCache
-{
-    mutable std::mutex mu;
-    std::map<const lang::FunctionDecl*, cfg::Cfg> cfgs;
-
-    std::size_t size() const
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return cfgs.size();
-    }
-};
-
-/**
- * Containment tally for one run: how many work units failed under their
- * UnitGuard and how many were truncated by their resource budget. The
- * driver maps a non-zero unit_failures (or frontend issues) to the
- * "degraded" exit code.
- */
-struct RunHealth
-{
-    std::uint64_t unit_failures = 0;
-    std::uint64_t budget_truncations = 0;
-
-    bool degraded() const { return unit_failures > 0; }
-};
 
 /** Knobs for runCheckersParallel. */
 struct ParallelRunOptions
@@ -65,12 +17,6 @@ struct ParallelRunOptions
      */
     CheckerSetOptions checker_options;
     /**
-     * Reuse an existing pool (its lane count wins over `jobs`). The run
-     * must not itself be executing on one of the pool's workers — the
-     * pool forbids nested parallelFor.
-     */
-    support::ThreadPool* pool = nullptr;
-    /**
      * Persistent analysis cache. When set, each (function, checker) work
      * unit is first looked up by content key — engine version, checker
      * identity/options/metal source, protocol-spec fingerprint, function
@@ -78,9 +24,7 @@ struct ParallelRunOptions
      * checker state replay through the normal merge path instead of
      * re-walking paths; CFGs are only built for functions with at least
      * one miss. Output stays byte-identical to an uncached run for any
-     * job count. Cache use implies the unit machinery even at jobs == 1
-     * (the pool spawns no threads there). Checkers the factory cannot
-     * rebuild still force the sequential, uncached fallback.
+     * job count.
      */
     cache::AnalysisCache* cache = nullptr;
     /**
@@ -88,68 +32,43 @@ struct ParallelRunOptions
      * allowances) installed around each (function, checker) unit and
      * consulted by the path walker. Exhaustion truncates that unit's
      * analysis gracefully — partial findings survive, a
-     * "budget-exhausted" warning marks the gap — and the unit is not
+     * budget-exhausted warning marks the gap — and the unit is not
      * stored in the cache (budgets are not part of cache keys).
      * Default-constructed means unlimited.
      */
     support::BudgetLimits unit_budget;
     /**
-     * Abort the whole run on the first unit failure (the exception
-     * propagates out of runCheckersParallel) instead of containing it.
+     * Abort the whole run on the first failed unit in merge order
+     * instead of containing it: runCheckersParallel throws
+     * std::runtime_error "unit '<function>/<checker>' failed: <error>",
+     * the same at any job count.
      */
     bool fail_fast = false;
     /** Optional out-param receiving the run's containment tally. */
     RunHealth* health = nullptr;
     /**
-     * Resident CFG store shared across runs over the same Program. When
-     * set, phase 1 consults it before building and publishes what it
-     * builds; reuses tally into the "parallel.cfg_reused" counter. The
-     * cache must only ever be paired with the Program whose declarations
-     * key it.
+     * Resident CFG store shared across runs over the same Program; unset
+     * means a store local to the run. Reuses tally into the
+     * "parallel.cfg_reused" counter. The cache must only ever be paired
+     * with the Program whose declarations key it.
      */
     CfgCache* cfg_cache = nullptr;
 };
 
 /**
- * Content key for one (function, checker) work unit: engine version,
- * checker identity + options + metal source, witness configuration,
- * protocol-spec fingerprint, function token-stream fingerprint. Two
- * runs may share a cache entry only when every ingredient matches.
- * Exposed so the shard coordinator keys its phase-0 lookups exactly
- * as the in-process runner does — byte-identical warm runs depend on
- * both computing the same key from the same inputs.
- */
-std::uint64_t unitCacheKey(const std::string& checker_name,
-                           const CheckerSetOptions& options,
-                           std::uint64_t spec_fp, std::uint64_t fn_fp);
-
-/**
  * Parallel drop-in for runCheckers: same inputs, same outputs, same
  * bytes in the sink — only the wall clock differs.
  *
- * The function passes fan out as (function x checker) work units, each
- * with a private checker instance (built by makeChecker from the
- * master's name) and a private DiagnosticSink. Units are merged back
- * sequentially in (function-major, checker-minor) order — exactly the
- * order the sequential runner visits them — so the shared sink sees the
- * identical diagnostic sequence, dedup decisions and all, for any job
- * count. Master instances absorb the units' per-run state in the same
- * order, then run the program-level passes sequentially, so
- * inter-procedural checkers (lanes) see exactly the sequential state.
+ * The function passes run as (function x checker) units through the
+ * unit executor (unit_executor.h): look every unit up in the cache, run
+ * the misses with runUnit across a pool of `jobs` lanes, and fold them
+ * all back with mergeUnits in the sequential visit order. Every unit
+ * runs under a UnitGuard, so a unit that throws degrades to one
+ * "analysis incomplete" warning instead of taking the run down, and a
+ * degraded run is byte-identical for any job count too.
  *
- * Checkers whose names the registry factory does not know force a
- * sequential fallback (their instances cannot be cloned); the result is
- * still correct, just not parallel — and not fault-contained.
- *
- * Fault containment: every unit body runs under a UnitGuard. A unit
- * that throws (checker bug, injected fault, bad_alloc) is discarded —
- * fresh instance absorbed, no partial findings — and replaced by a
- * single "analysis incomplete" warning diagnostic (checker "engine",
- * rule "unit-failure") that flows through the normal sorted merge, so a
- * degraded run is still byte-identical for any job count. Failures
- * tally into the engine.unit_failures metric and options.health. With
- * jobs == 1 the unit machinery (and the guard) is used all the same, so
- * sequential and parallel runs degrade identically.
+ * Every checker must be one makeChecker can rebuild (a registered
+ * name); anything else throws std::invalid_argument.
  */
 std::vector<CheckerRunStats>
 runCheckersParallel(const lang::Program& program,
@@ -157,6 +76,17 @@ runCheckersParallel(const lang::Program& program,
                     const std::vector<Checker*>& checkers,
                     support::DiagnosticSink& sink,
                     const ParallelRunOptions& options = ParallelRunOptions());
+
+/**
+ * runCheckersParallel over any unit grid — the built-in checkers' or
+ * metal mode's one user state machine: cache lookup, runUnit across the
+ * pool for the misses (storing what may be stored), mergeUnits.
+ * `options.checker_options` is unused; the grid builds its own
+ * instances.
+ */
+std::vector<CheckerRunStats>
+runGrid(const UnitGrid& grid, support::DiagnosticSink& sink,
+        const ParallelRunOptions& options);
 
 } // namespace mc::checkers
 

@@ -13,17 +13,12 @@ UnitGuard::run(const std::function<void()>& body) const
     } catch (const std::exception& e) {
         outcome.failed = true;
         outcome.error = e.what();
-        if (rethrow_)
-            throw;
     } catch (...) {
         outcome.failed = true;
         outcome.error = "non-standard exception in unit " + label_;
-        if (rethrow_)
-            throw;
     }
     outcome.budget_stop = budget.stop();
     outcome.steps = budget.steps();
-    outcome.elapsed = budget.elapsed();
     return outcome;
 }
 

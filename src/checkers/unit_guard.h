@@ -3,7 +3,6 @@
 
 #include "support/budget.h"
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -25,8 +24,6 @@ struct UnitOutcome
     support::BudgetStop budget_stop = support::BudgetStop::None;
     /** Budget steps the unit charged (walker visits, mostly). */
     std::uint64_t steps = 0;
-    /** Unit wall time. */
-    std::chrono::milliseconds elapsed{0};
 };
 
 /**
@@ -37,13 +34,12 @@ struct UnitOutcome
  * catch-everything barrier: any exception — a checker bug, an injected
  * fault, bad_alloc — is captured into the outcome instead of escaping
  * to the thread pool, so one crashing unit cannot take down the run or
- * perturb the deterministic merge. In rethrow mode (--fail-fast) the
- * exception is recorded and then propagated, aborting the run.
+ * perturb the deterministic merge.
  *
  * The guard is deliberately containment-only: it does not log, count
- * metrics, or emit diagnostics. The caller decides how a failure
- * surfaces (engine.unit_failures metric + "analysis incomplete"
- * diagnostic in the parallel runner).
+ * metrics, or emit diagnostics. runUnit decides how a failure surfaces
+ * (an "analysis incomplete" diagnostic), and mergeUnits whether it
+ * aborts the run (--fail-fast).
  */
 class UnitGuard
 {
@@ -52,23 +48,19 @@ class UnitGuard
      * @param label Unit identity ("function/checker"), used in error
      *   messages.
      * @param limits Per-unit resource budget (default: unlimited).
-     * @param rethrow Propagate the failure after recording it
-     *   (--fail-fast).
      */
     explicit UnitGuard(std::string label,
-                       support::BudgetLimits limits = {},
-                       bool rethrow = false)
-        : label_(std::move(label)), limits_(limits), rethrow_(rethrow)
+                       support::BudgetLimits limits = {})
+        : label_(std::move(label)), limits_(limits)
     {
     }
 
-    /** Execute `body` contained; never throws unless rethrow is set. */
+    /** Execute `body` contained; never throws. */
     UnitOutcome run(const std::function<void()>& body) const;
 
   private:
     std::string label_;
     support::BudgetLimits limits_;
-    bool rethrow_ = false;
 };
 
 } // namespace mc::checkers

@@ -31,6 +31,11 @@ if(NOT DEFINED PYTHON)
     endif()
 endif()
 
+set(metal_args)
+if(DEFINED METAL)
+    set(metal_args --metal "${METAL}")
+endif()
+
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
@@ -38,7 +43,7 @@ execute_process(
     COMMAND "${PYTHON}" "${HARNESS}"
             --mccheck "${MCCHECK}" --mccheckd "${MCCHECKD}"
             --workdir "${WORKDIR}" --mode "${MODE}"
-            --protocol "${PROTOCOL}" --format "${FORMAT}"
+            --protocol "${PROTOCOL}" --format "${FORMAT}" ${metal_args}
     OUTPUT_VARIABLE harness_out
     ERROR_VARIABLE harness_err
     RESULT_VARIABLE harness_rc)

@@ -16,11 +16,17 @@
 # tests already pin the sharded bytes to the in-process bytes, so
 # agreement among fault runs proves containment is deterministic too.
 #
+# Same-args mode (-DSAME_ARGS=<arg,arg,...>, no FAULT): the listed
+# arguments go to the plain run and to every shard run alike, so an
+# in-process containment outcome — a checker.unit fault, a step budget —
+# must come out of the shard workers with the same bytes and the same
+# EXPECT_RC as it does in process.
+#
 # Usage:
 #   cmake -DMCCHECK=<path> -DPROTOCOL=<name> -DFORMAT=<text|json|sarif>
 #         -DWORKDIR=<scratch dir> [-DMODE=protocol]
-#         [-DFAULT=<site:n>] [-DEXPECT_RC=<n>] [-DSHARDS=2,4]
-#         [-DBATCH_TIMEOUT_MS=<ms>] [-DBATCH_UNITS=<n>]
+#         [-DFAULT=<site:n>] [-DSAME_ARGS=<arg,...>] [-DEXPECT_RC=<n>]
+#         [-DSHARDS=2,4] [-DBATCH_TIMEOUT_MS=<ms>] [-DBATCH_UNITS=<n>]
 #         -P compare_shards.cmake
 #
 # Text output in protocol mode carries a wall-clock stats table, so text
@@ -67,6 +73,9 @@ else()
 endif()
 
 set(fault_args)
+if(DEFINED SAME_ARGS)
+    string(REPLACE "," ";" fault_args "${SAME_ARGS}")
+endif()
 if(DEFINED FAULT)
     list(APPEND fault_args --inject-fault ${FAULT} --shard-backoff-ms 1)
 endif()
@@ -115,15 +124,22 @@ if(DEFINED FAULT AND out_${base_tag} STREQUAL "")
         "(rc=${rc_${base_tag}}, stderr: ${err_${base_tag}})")
 endif()
 
+set(tags ${base_tag})
 foreach(n IN LISTS shard_counts)
+    list(APPEND tags s${n})
+endforeach()
+foreach(tag IN LISTS tags)
     if(DEFINED EXPECT_RC)
-        if(NOT rc_s${n} EQUAL ${EXPECT_RC})
+        if(NOT rc_${tag} EQUAL ${EXPECT_RC})
             message(FATAL_ERROR
-                "--shards ${n} under ${FAULT} exited ${rc_s${n}}, expected "
-                "${EXPECT_RC} for ${PROTOCOL} (${FORMAT})\n"
-                "stderr: ${err_s${n}}")
+                "the ${tag} run under ${FAULT}${SAME_ARGS} exited "
+                "${rc_${tag}}, expected ${EXPECT_RC} for ${PROTOCOL} "
+                "(${FORMAT})\nstderr: ${err_${tag}}")
         endif()
     endif()
+endforeach()
+
+foreach(n IN LISTS shard_counts)
     if(NOT rc_${base_tag} EQUAL rc_s${n})
         message(FATAL_ERROR
             "exit codes differ for ${PROTOCOL} (${FORMAT}): ${base_tag} -> "
@@ -144,6 +160,6 @@ if(DEFINED FAULT)
         "byte-for-byte at exit ${rc_${base_tag}}")
 else()
     message(STATUS
-        "${PROTOCOL} (${FORMAT}): plain vs shards ${SHARDS} agree "
-        "byte-for-byte")
+        "${PROTOCOL} (${FORMAT}) ${SAME_ARGS}: plain vs shards ${SHARDS} "
+        "agree byte-for-byte")
 endif()

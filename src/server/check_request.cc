@@ -7,58 +7,38 @@
  * `check` response carries was produced by the code that produces batch
  * stdout, which is what the daemon-vs-batch differential suite pins.
  *
- * Output is deterministic for any jobs value, warm or cold cache, and
- * one-shot or resident program state: diagnostics are ordered by (file,
- * line, column, checker, rule) at emission, the parallel runner merges
- * worker results in the sequential visit order, cached units replay
- * their stored diagnostics and checker state through that same merge
- * path, and resident programs keep their file ids stable across
- * in-place re-parses so emission order cannot drift.
+ * Output is deterministic for any jobs value, warm or cold cache,
+ * shard count, and one-shot or resident program state: diagnostics are
+ * ordered by (file, line, column, checker, rule) at emission, every
+ * mode runs and merges its units through the one unit executor
+ * (checkers/unit_executor.h) in the sequential visit order, cached and
+ * sharded units replay through that same merge, and resident programs
+ * keep their file ids stable across in-place re-parses so emission
+ * order cannot drift.
  */
 #include "server/check_request.h"
 
-#include "cfg/cfg.h"
 #include "checkers/parallel.h"
 #include "checkers/registry.h"
-#include "checkers/unit_guard.h"
 #include "corpus/generator.h"
 #include "flash/protocol_spec.h"
-#include "lang/fingerprint.h"
 #include "metal/metal_parser.h"
 #include "server/check_units.h"
 #include "server/resident.h"
 #include "server/sharded_check.h"
-#include "support/budget.h"
-#include "support/fault_injection.h"
 #include "support/hash.h"
-#include "support/metrics.h"
-#include "support/run_ledger.h"
 #include "support/text.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "support/version.h"
 #include "support/witness.h"
 
 #include <cctype>
-#include <chrono>
-#include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 namespace mc::server {
 
 namespace {
-
-/** Per-unit resource limits from the request's budget knobs. */
-support::BudgetLimits
-unitBudget(const CheckRequest& req)
-{
-    support::BudgetLimits limits;
-    limits.deadline = std::chrono::milliseconds(req.unit_timeout_ms);
-    limits.max_steps = req.unit_max_steps;
-    return limits;
-}
 
 /**
  * Map a finished run to the documented exit scheme: degraded (2) wins
@@ -67,9 +47,11 @@ unitBudget(const CheckRequest& req)
  * reported" for "no errors present".
  */
 int
-exitCode(bool degraded, const support::DiagnosticSink& sink)
+exitCode(const lang::Program& program, const checkers::RunHealth& health,
+         const support::DiagnosticSink& sink)
 {
-    if (degraded)
+    if (program.degraded() || health.unit_failures > 0 ||
+        health.budget_truncations > 0)
         return 2;
     return sink.count(support::Severity::Error) > 0 ? 1 : 0;
 }
@@ -126,6 +108,21 @@ sourceReader(const CheckRequest& req)
     return req.read_file ? req.read_file : FileReader(readDiskFile);
 }
 
+/** The in-process run options `req` asks for. */
+checkers::ParallelRunOptions
+inProcessOptions(const CheckRequest& req, cache::AnalysisCache* cache,
+                 checkers::RunHealth& health, checkers::CfgCache* cfgs)
+{
+    checkers::ParallelRunOptions prun;
+    prun.jobs = req.jobs;
+    prun.cache = cache;
+    prun.unit_budget = req.unitBudget();
+    prun.fail_fast = req.fail_fast;
+    prun.health = &health;
+    prun.cfg_cache = cfgs;
+    return prun;
+}
+
 /**
  * Run the checker set in-process or — when the request asks for shards
  * — across supervised worker processes. Both paths produce identical
@@ -140,23 +137,12 @@ runCheckerSet(const CheckRequest& req, cache::AnalysisCache* cache,
               const checkers::CheckerSetOptions& copts,
               checkers::RunHealth& health, checkers::CfgCache* cfgs)
 {
-    if (req.shards > 0) {
-        ShardRunOptions srun;
-        srun.checker_options = copts;
-        srun.cache = cache;
-        srun.fail_fast = req.fail_fast;
-        srun.health = &health;
-        return runCheckersSharded(program, spec, checkers, sink, req,
-                                  srun);
-    }
-    checkers::ParallelRunOptions prun;
-    prun.jobs = req.jobs;
-    prun.cache = cache;
-    prun.unit_budget = unitBudget(req);
-    prun.fail_fast = req.fail_fast;
-    prun.health = &health;
+    if (req.shards > 0)
+        return runCheckersSharded(program, spec, checkers, sink, req, cache,
+                                  &health);
+    checkers::ParallelRunOptions prun =
+        inProcessOptions(req, cache, health, cfgs);
     prun.checker_options = copts;
-    prun.cfg_cache = cfgs;
     return checkers::runCheckersParallel(program, spec, checkers, sink,
                                          prun);
 }
@@ -202,11 +188,42 @@ checkProtocol(const CheckRequest& req, cache::AnalysisCache* cache,
         loaded->program->functions().size() * set.pointers().size();
     emitFindings(req, sink, &loaded->program->sourceManager(), &stats,
                  out, outcome);
-    return exitCode(loaded->program->degraded() ||
-                        health.unit_failures > 0 ||
-                        health.budget_truncations > 0,
-                    sink);
+    return exitCode(*loaded->program, health, sink);
 }
+
+/**
+ * A user metal state machine as a Checker, so metal mode runs through
+ * the unit executor. Every instance shares one parsed MetalProgram;
+ * walking a function reports straight into the unit's sink. The
+ * machine keeps no per-run state, so the saved state is empty — the
+ * cache entries stay what metal mode always stored.
+ */
+class MetalUnitChecker : public checkers::Checker
+{
+  public:
+    MetalUnitChecker(const metal::MetalProgram& program,
+                     metal::PruneStrategy prune)
+        : program_(program)
+    {
+        options_.prune_strategy = prune;
+    }
+
+    std::string name() const override { return "metal:" + program_.name; }
+
+    void
+    checkFunction(const lang::FunctionDecl&, const cfg::Cfg& cfg,
+                  checkers::CheckContext& ctx) override
+    {
+        metal::runStateMachine(*program_.sm, cfg, ctx.sink, options_);
+    }
+
+    void saveState(std::ostream&) const override {}
+    bool loadState(std::istream&) override { return true; }
+
+  private:
+    const metal::MetalProgram& program_;
+    metal::SmRunOptions options_;
+};
 
 /** Run one user-written metal checker over dialect sources. */
 int
@@ -248,206 +265,41 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
     outcome.files_reparsed = prepared.files_reparsed;
     outcome.program_reused = prepared.reused;
 
-    // Fan functions out across the pool, each into a private sink; merge
-    // in program function order so the shared sink sees the same
-    // diagnostic sequence a sequential loop would produce. The parsed
-    // state machine is shared read-only across lanes. Each function runs
-    // under a UnitGuard with the request budget, mirroring the parallel
-    // checker runner's containment: a walk that throws is replaced by an
-    // "analysis incomplete" warning and the run degrades instead of
-    // dying.
-    //
-    // With a cache, each function's walk outcome (its private sink's
-    // diagnostics) is keyed by the metal source text plus the function's
+    // The user state machine is a one-column unit grid: every function
+    // runs, caches, contains and merges exactly like a built-in
+    // checker's units, with the parsed machine shared read-only by all
+    // of them. Units key by the metal source text plus the function's
     // token-stream fingerprint, so re-checks after an edit replay every
-    // untouched function. Functions in degraded units have no
-    // fingerprint and bypass the cache entirely.
-    const std::vector<const lang::FunctionDecl*>& fns =
-        program.functions();
-    const std::string unit_checker = "metal:" + checker->name;
-    using Clock = std::chrono::steady_clock;
-    std::vector<support::DiagnosticSink> fn_sinks(fns.size());
-    std::vector<char> fn_failed(fns.size(), 0);
-    std::vector<char> fn_hit(fns.size(), 0);
-    std::vector<Clock::duration> fn_elapsed(fns.size(),
-                                            Clock::duration::zero());
-    std::vector<support::LedgerUnitStats> fn_walk_stats(fns.size());
-    std::vector<support::BudgetStop> fn_stop(fns.size(),
-                                             support::BudgetStop::None);
-    std::map<std::string, std::uint64_t> fn_fps;
-    std::map<std::string, std::int32_t> file_ids;
-    std::vector<std::uint64_t> keys(fns.size(), 0);
-    if (cache) {
-        fn_fps = lang::fingerprintFunctions(program);
-        file_ids =
-            cache::AnalysisCache::fileIdsByName(program.sourceManager());
-    }
-    checkers::CfgCache* cfg_cache = prepared.cfg_cache;
-    support::ThreadPool pool(req.jobs);
-    pool.parallelFor(fns.size(), [&](std::size_t f) {
-        Clock::time_point t0 = Clock::now();
-        auto fp = fn_fps.find(fns[f]->name);
-        if (cache && fp != fn_fps.end()) {
-            // Witness capture changes the cached bytes, so witness-on
-            // and witness-off runs (and different caps) key separately.
-            keys[f] = support::Fnv1a()
-                          .i64(cache::kCacheFormatVersion)
-                          .str(support::kToolVersion)
-                          .str(unit_checker)
-                          .str(metal_source)
-                          .u8(support::witnessEnabled() ? 1 : 0)
-                          .u64(support::witnessLimit())
-                          .u8(static_cast<std::uint8_t>(
-                              req.prune_strategy))
-                          .u64(fp->second)
-                          .value();
-            cache::CachedUnit unit;
-            if (cache->lookup(keys[f], unit) &&
-                unit.function == fns[f]->name) {
-                bool ok = true;
-                std::vector<support::Diagnostic> replayed;
-                for (const cache::CachedDiagnostic& cached : unit.diags) {
-                    support::Diagnostic d;
-                    if (!cache::AnalysisCache::fromCached(cached, file_ids,
-                                                          d)) {
-                        ok = false;
-                        break;
-                    }
-                    replayed.push_back(std::move(d));
-                }
-                if (ok) {
-                    for (support::Diagnostic& d : replayed)
-                        fn_sinks[f].report(std::move(d));
-                    fn_hit[f] = 1;
-                    fn_elapsed[f] = Clock::now() - t0;
-                    return;
-                }
-            }
-        }
-        const std::string label = fns[f]->name + "/" + unit_checker;
-        support::DiagnosticSink scratch;
-        support::LedgerUnitStats unit_stats;
-        support::LedgerUnitScope stats_scope(&unit_stats);
-        checkers::UnitGuard guard(label, unitBudget(req),
-                                  req.fail_fast);
-        checkers::UnitOutcome outcome_u = guard.run([&] {
-            support::fault::probe("checker.unit", label);
-            // Resident CFGs: look up by declaration pointer, build and
-            // publish (backEdges pre-warmed while single-owner) on miss.
-            // One-shot runs build locally exactly as batch always did.
-            const cfg::Cfg* cfg = nullptr;
-            cfg::Cfg local_cfg;
-            if (cfg_cache) {
-                {
-                    std::lock_guard<std::mutex> lock(cfg_cache->mu);
-                    auto it = cfg_cache->cfgs.find(fns[f]);
-                    if (it != cfg_cache->cfgs.end())
-                        cfg = &it->second;
-                }
-                if (!cfg) {
-                    cfg::Cfg built = cfg::CfgBuilder::build(*fns[f]);
-                    built.backEdges();
-                    std::lock_guard<std::mutex> lock(cfg_cache->mu);
-                    cfg = &cfg_cache->cfgs
-                               .emplace(fns[f], std::move(built))
-                               .first->second;
-                }
-            } else {
-                local_cfg = cfg::CfgBuilder::build(*fns[f]);
-                cfg = &local_cfg;
-            }
-            metal::SmRunOptions run_options;
-            run_options.prune_strategy = req.prune_strategy;
-            metal::runStateMachine(*checker->sm, *cfg, scratch,
-                                   run_options);
-        });
-        fn_elapsed[f] = Clock::now() - t0;
-        fn_walk_stats[f] = unit_stats;
-        fn_stop[f] = outcome_u.budget_stop;
-        if (outcome_u.failed) {
-            fn_failed[f] = 1;
-            fn_sinks[f].warning(fns[f]->loc, "engine", "unit-failure",
-                                "analysis incomplete: " + unit_checker +
-                                    " failed on '" + fns[f]->name +
-                                    "': " + outcome_u.error);
-            return;
-        }
-        for (const support::Diagnostic& d : scratch.diagnostics())
-            fn_sinks[f].report(d);
-        if (outcome_u.budget_stop != support::BudgetStop::None)
-            fn_sinks[f].warning(
-                fns[f]->loc, "engine", "budget-exhausted",
-                "analysis truncated: " + unit_checker + " on '" +
-                    fns[f]->name + "' exhausted its " +
-                    support::budgetStopName(outcome_u.budget_stop) +
-                    " budget");
-        if (cache && !cache->readonly() && keys[f] != 0 &&
-            outcome_u.budget_stop == support::BudgetStop::None) {
-            cache::CachedUnit unit;
-            unit.checker = unit_checker;
-            unit.function = fns[f]->name;
-            for (const support::Diagnostic& d : fn_sinks[f].diagnostics())
-                unit.diags.push_back(cache::AnalysisCache::toCached(
-                    d, program.sourceManager()));
-            cache->store(keys[f], unit);
-        }
-    });
+    // untouched function.
+    MetalUnitChecker master(*checker, req.prune_strategy);
+    const flash::ProtocolSpec no_spec;
+    checkers::UnitGrid grid{program, no_spec, {&master}, nullptr, nullptr};
+    grid.make = [&](std::size_t) {
+        return std::make_unique<MetalUnitChecker>(*checker,
+                                                  req.prune_strategy);
+    };
+    const std::string unit_checker = master.name();
+    grid.key = [&](std::size_t, std::uint64_t, std::uint64_t fn_fp) {
+        // Witness capture changes the cached bytes, so witness-on and
+        // witness-off runs (and different caps) key separately.
+        return support::Fnv1a()
+            .i64(cache::kCacheFormatVersion)
+            .str(support::kToolVersion)
+            .str(unit_checker)
+            .str(metal_source)
+            .u8(support::witnessEnabled() ? 1 : 0)
+            .u64(support::witnessLimit())
+            .u8(static_cast<std::uint8_t>(req.prune_strategy))
+            .u64(fn_fp)
+            .value();
+    };
     support::DiagnosticSink sink;
     reportFrontendIssues(program, sink);
-    support::RunLedger& ledger = support::RunLedger::global();
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    std::set<std::int32_t> degraded_files;
-    if (ledger.enabled())
-        for (const lang::TranslationUnit& tu : program.units())
-            if (!tu.issues.empty())
-                degraded_files.insert(tu.file_id);
-    std::uint64_t failures = 0;
-    std::uint64_t truncations = 0;
-    std::uint64_t witness_truncations = 0;
-    for (std::size_t f = 0; f < fns.size(); ++f) {
-        for (const support::Diagnostic& d : fn_sinks[f].diagnostics()) {
-            witness_truncations += d.witness.truncated ? 1 : 0;
-            sink.report(d);
-        }
-        failures += fn_failed[f] ? 1 : 0;
-        truncations +=
-            fn_stop[f] != support::BudgetStop::None ? 1 : 0;
-        if (ledger.enabled()) {
-            support::LedgerUnitEvent event;
-            event.function = fns[f]->name;
-            event.checker = unit_checker;
-            event.wall_ms = std::chrono::duration<double, std::milli>(
-                                fn_elapsed[f])
-                                .count();
-            event.visits = fn_walk_stats[f].visits;
-            event.pruned_edges = fn_walk_stats[f].pruned_edges;
-            event.prune_cache_hits = fn_walk_stats[f].prune_cache_hits;
-            event.prune_skipped_nary =
-                fn_walk_stats[f].prune_skipped_nary;
-            event.cache = !cache ? "off" : fn_hit[f] ? "hit" : "miss";
-            event.budget_stop = support::budgetStopName(fn_stop[f]);
-            event.truncated = fn_stop[f] != support::BudgetStop::None;
-            event.failed = fn_failed[f] != 0;
-            event.degraded_parse =
-                degraded_files.count(fns[f]->loc.file_id) != 0;
-            ledger.unit(event);
-        }
-        if (metrics.enabled() && !fn_hit[f]) {
-            metrics.histogram("unit.wall_ns")
-                .observe(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        fn_elapsed[f])
-                        .count()));
-            metrics.histogram("unit.visits")
-                .observe(fn_walk_stats[f].visits);
-        }
-    }
-    if (metrics.enabled()) {
-        metrics.counter("engine.unit_failures").add(failures);
-        metrics.counter("budget.truncations").add(truncations);
-        metrics.counter("witness.truncations").add(witness_truncations);
-    }
-    outcome.units_total = fns.size();
+    checkers::RunHealth health;
+    checkers::runGrid(grid, sink,
+                      inProcessOptions(req, cache, health,
+                                       prepared.cfg_cache));
+    outcome.units_total = grid.size();
     emitFindings(req, sink, &program.sourceManager(), nullptr, out,
                  outcome);
     if (req.format == support::OutputFormat::Text)
@@ -455,9 +307,7 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
             << sink.count(support::Severity::Error) << " error(s), "
             << sink.count(support::Severity::Warning)
             << " warning(s)\n";
-    return exitCode(program.degraded() || failures > 0 ||
-                        truncations > 0,
-                    sink);
+    return exitCode(program, health, sink);
 }
 
 int
@@ -496,9 +346,7 @@ checkFiles(const CheckRequest& req, cache::AnalysisCache* cache,
             << sink.count(support::Severity::Warning)
             << " warning(s)\n";
     (void)stats;
-    return exitCode(program.degraded() || health.unit_failures > 0 ||
-                        health.budget_truncations > 0,
-                    sink);
+    return exitCode(program, health, sink);
 }
 
 std::uint64_t

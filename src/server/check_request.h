@@ -3,8 +3,10 @@
 
 #include "cache/analysis_cache.h"
 #include "metal/engine.h"
+#include "support/budget.h"
 #include "support/diagnostics.h"
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -54,6 +56,16 @@ struct CheckRequest
     unsigned long unit_timeout_ms = 0;
     /** Per-unit path-walker step budget; 0 = unlimited. */
     unsigned long unit_max_steps = 0;
+
+    /** The per-unit resource limits the two knobs above describe. */
+    support::BudgetLimits
+    unitBudget() const
+    {
+        support::BudgetLimits limits;
+        limits.deadline = std::chrono::milliseconds(unit_timeout_ms);
+        limits.max_steps = unit_max_steps;
+        return limits;
+    }
     bool fail_fast = false;
     /** Witness capture (process-global, installed per run; part of the
      *  cache key, so resident entries never cross configurations). */

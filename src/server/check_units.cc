@@ -1,36 +1,28 @@
 /**
  * @file
- * The shard worker's half of sharded checking.
+ * The `check_units` method: the shard worker's half of sharded checking
+ * plus the wire format both halves speak.
  *
  * A worker is an `mccheck --shard-worker` process holding a Daemon;
  * `check_units` requests name explicit unit ids instead of "everything",
  * and the response carries each unit's outcome in the analysis cache's
  * encoded form. Determinism rests on three properties: unit ids index
- * the same (function x checker) grid the coordinator enumerates, the
- * per-unit pipeline below is the in-process phase-2 body verbatim
- * (same guard, same probes, same containment warnings), and results
- * travel in the cache encoding whose replay path is already proven
- * byte-neutral by the warm/cold differential suite.
+ * the same (function x checker) grid the coordinator enumerates, each
+ * unit runs through the same runUnit as in process, and results travel
+ * in the cache encoding that replayUnit reads for cache hits too.
  */
 #include "server/check_units.h"
 
-#include "cfg/cfg.h"
-#include "checkers/parallel.h"
-#include "checkers/registry.h"
-#include "checkers/unit_guard.h"
 #include "corpus/generator.h"
+#include "metal/feasibility.h"
 #include "server/resident.h"
-#include "support/budget.h"
 #include "support/fault_injection.h"
-#include "support/run_ledger.h"
 #include "support/text.h"
 #include "support/witness.h"
 
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -58,19 +50,6 @@ cliFilesSpec(const lang::Program& program)
     return spec;
 }
 
-namespace {
-
-support::BudgetLimits
-unitBudget(const CheckRequest& req)
-{
-    support::BudgetLimits limits;
-    limits.deadline = std::chrono::milliseconds(req.unit_timeout_ms);
-    limits.max_steps = req.unit_max_steps;
-    return limits;
-}
-
-} // namespace
-
 JsonValue
 runCheckUnits(const CheckRequest& request,
               const std::vector<std::uint64_t>& units,
@@ -89,7 +68,7 @@ runCheckUnits(const CheckRequest& request,
     PreparedProgram prepared;
     lang::Program* program = nullptr;
     checkers::CfgCache* cfg_cache = nullptr;
-    std::unique_ptr<checkers::CfgCache> local_cfgs;
+    checkers::CfgCache local_cfgs;
     const flash::ProtocolSpec* spec = nullptr;
     flash::ProtocolSpec files_spec;
 
@@ -124,29 +103,21 @@ runCheckUnits(const CheckRequest& request,
         throw std::runtime_error(
             "check_units supports protocol and files modes only");
     }
-    if (!cfg_cache) {
-        local_cfgs = std::make_unique<checkers::CfgCache>();
-        cfg_cache = local_cfgs.get();
-    }
+    if (!cfg_cache)
+        cfg_cache = &local_cfgs;
 
     checkers::CheckerSetOptions copts;
     copts.prune_strategy = request.prune_strategy;
     auto set = checkers::makeAllCheckers(copts);
-    std::vector<checkers::Checker*> all = set.pointers();
-    const std::vector<const lang::FunctionDecl*>& fns =
-        program->functions();
-    const std::size_t ncheckers = all.size();
-    const std::size_t nunits = fns.size() * ncheckers;
+    const checkers::UnitGrid grid =
+        checkers::builtinGrid(*program, *spec, set.pointers(), copts);
 
-    using Clock = std::chrono::steady_clock;
     JsonValue entries = JsonValue::array();
     for (std::uint64_t u : units) {
-        if (u >= nunits)
+        if (u >= grid.size())
             throw std::runtime_error("unit id out of range: " +
                                      std::to_string(u));
-        const std::size_t f = static_cast<std::size_t>(u) / ncheckers;
-        const std::size_t c = static_cast<std::size_t>(u) % ncheckers;
-        const std::string label = fns[f]->name + "/" + all[c]->name();
+        const std::string label = grid.label(u);
 
         // Worker-process fault sites. Unlike checker.unit these are NOT
         // contained: they simulate the worker dying mid-batch (_Exit,
@@ -166,98 +137,164 @@ runCheckUnits(const CheckRequest& request,
                 std::this_thread::sleep_for(std::chrono::hours(1));
         }
 
-        auto checker = checkers::makeChecker(all[c]->name(), copts);
-        if (!checker)
-            throw std::runtime_error("checker '" + all[c]->name() +
-                                     "' cannot run sharded");
-        support::DiagnosticSink scratch;
-        checkers::CheckContext uctx{*program, *spec, scratch};
-        support::LedgerUnitStats unit_stats;
-        support::LedgerUnitScope stats_scope(&unit_stats);
-        const Clock::time_point t0 = Clock::now();
-        checkers::UnitGuard guard(label, unitBudget(request),
-                                  /*rethrow=*/false);
-        checkers::UnitOutcome outcome = guard.run([&] {
-            support::fault::probe("checker.unit", label);
-            const cfg::Cfg* cfg = nullptr;
-            {
-                std::lock_guard<std::mutex> lock(cfg_cache->mu);
-                auto it = cfg_cache->cfgs.find(fns[f]);
-                if (it != cfg_cache->cfgs.end())
-                    cfg = &it->second;
-            }
-            if (!cfg) {
-                cfg::Cfg built = cfg::CfgBuilder::build(*fns[f]);
-                built.backEdges();
-                std::lock_guard<std::mutex> lock(cfg_cache->mu);
-                cfg = &cfg_cache->cfgs.emplace(fns[f], std::move(built))
-                           .first->second;
-            }
-            checker->checkFunction(*fns[f], *cfg, uctx);
-        });
-        const auto elapsed = Clock::now() - t0;
-
-        // Mirror the in-process phase-2 containment byte for byte: a
-        // failed unit contributes a *fresh* instance's state and one
-        // "analysis incomplete" warning; a truncated one keeps its
-        // partial findings plus the "budget-exhausted" marker.
-        support::DiagnosticSink unit_sink;
-        if (outcome.failed) {
-            checker = checkers::makeChecker(all[c]->name(), copts);
-            unit_sink.warning(fns[f]->loc, "engine", "unit-failure",
-                              "analysis incomplete: " + all[c]->name() +
-                                  " failed on '" + fns[f]->name +
-                                  "': " + outcome.error);
-        } else {
-            for (const support::Diagnostic& d : scratch.diagnostics())
-                unit_sink.report(d);
-            if (outcome.budget_stop != support::BudgetStop::None)
-                unit_sink.warning(
-                    fns[f]->loc, "engine", "budget-exhausted",
-                    "analysis truncated: " + all[c]->name() + " on '" +
-                        fns[f]->name + "' exhausted its " +
-                        support::budgetStopName(outcome.budget_stop) +
-                        " budget");
-        }
-
-        cache::CachedUnit unit;
-        unit.checker = all[c]->name();
-        unit.function = fns[f]->name;
-        std::ostringstream state;
-        checker->saveState(state);
-        unit.state = state.str();
-        for (const support::Diagnostic& d : unit_sink.diagnostics())
-            unit.diags.push_back(cache::AnalysisCache::toCached(
-                d, program->sourceManager()));
-
-        JsonValue entry = JsonValue::object();
-        entry.set("unit", JsonValue::number(u));
-        entry.set("failed", JsonValue::boolean(outcome.failed));
-        entry.set("error", JsonValue::string(outcome.error));
-        entry.set("budget_stop",
-                  JsonValue::string(
-                      support::budgetStopName(outcome.budget_stop)));
-        entry.set("wall_ms",
-                  JsonValue::number(
-                      std::chrono::duration<double, std::milli>(elapsed)
-                          .count()));
-        entry.set("visits", JsonValue::number(unit_stats.visits));
-        entry.set("pruned_edges",
-                  JsonValue::number(unit_stats.pruned_edges));
-        entry.set("prune_cache_hits",
-                  JsonValue::number(unit_stats.prune_cache_hits));
-        entry.set("prune_skipped_nary",
-                  JsonValue::number(unit_stats.prune_skipped_nary));
-        entry.set("data", JsonValue::string(
-                              cache::AnalysisCache::encodeUnit(unit)));
-        entries.push(std::move(entry));
+        const checkers::UnitResult result =
+            checkers::runUnit(grid, u, *cfg_cache, request.unitBudget());
+        entries.push(
+            encodeUnitEntry(u, result, checkers::cachedUnit(grid, u, result)));
     }
 
     JsonValue result = JsonValue::object();
     result.set("units", std::move(entries));
-    result.set("units_total",
-               JsonValue::number(static_cast<std::uint64_t>(nunits)));
+    result.set("units_total", JsonValue::number(
+                                  static_cast<std::uint64_t>(grid.size())));
     return result;
+}
+
+std::string
+makeCheckUnitsRequest(const CheckRequest& request,
+                      const std::vector<std::uint64_t>& units,
+                      std::uint64_t id)
+{
+    JsonValue params = JsonValue::object();
+    if (request.mode == CheckRequest::Mode::Protocol) {
+        params.set("protocol", JsonValue::string(request.protocol));
+    } else {
+        JsonValue files = JsonValue::array();
+        for (const std::string& f : request.files)
+            files.push(JsonValue::string(f));
+        params.set("files", std::move(files));
+    }
+    params.set("prune_paths",
+               JsonValue::string(
+                   metal::pruneStrategyName(request.prune_strategy)));
+    params.set("match_strategy",
+               JsonValue::string(request.match_strategy ==
+                                         metal::MatchStrategy::Legacy
+                                     ? "legacy"
+                                     : "table"));
+    params.set("witness", JsonValue::boolean(request.witness));
+    if (request.witness_limit != 0)
+        params.set("witness_limit",
+                   JsonValue::number(
+                       static_cast<std::uint64_t>(request.witness_limit)));
+    if (request.unit_timeout_ms != 0)
+        params.set("unit_timeout_ms",
+                   JsonValue::number(static_cast<std::uint64_t>(
+                       request.unit_timeout_ms)));
+    if (request.unit_max_steps != 0)
+        params.set("unit_max_steps",
+                   JsonValue::number(static_cast<std::uint64_t>(
+                       request.unit_max_steps)));
+    JsonValue ids = JsonValue::array();
+    for (std::uint64_t u : units)
+        ids.push(JsonValue::number(u));
+    params.set("units", std::move(ids));
+
+    JsonValue line = JsonValue::object();
+    line.set("id", JsonValue::number(id));
+    line.set("method", JsonValue::string("check_units"));
+    line.set("params", std::move(params));
+    return line.dump();
+}
+
+JsonValue
+encodeUnitEntry(std::uint64_t unit, const checkers::UnitResult& result,
+                const cache::CachedUnit& payload)
+{
+    JsonValue entry = JsonValue::object();
+    entry.set("unit", JsonValue::number(unit));
+    entry.set("failed", JsonValue::boolean(result.failed));
+    entry.set("error", JsonValue::string(result.error));
+    entry.set("budget_stop", JsonValue::string(support::budgetStopName(
+                                 result.budget_stop)));
+    entry.set("wall_ms",
+              JsonValue::number(
+                  std::chrono::duration<double, std::milli>(result.wall)
+                      .count()));
+    entry.set("visits", JsonValue::number(result.stats.visits));
+    entry.set("pruned_edges", JsonValue::number(result.stats.pruned_edges));
+    entry.set("prune_cache_hits",
+              JsonValue::number(result.stats.prune_cache_hits));
+    entry.set("prune_skipped_nary",
+              JsonValue::number(result.stats.prune_skipped_nary));
+    entry.set("data",
+              JsonValue::string(cache::AnalysisCache::encodeUnit(payload)));
+    return entry;
+}
+
+std::vector<WireUnit>
+decodeCheckUnitsResponse(const std::vector<std::uint64_t>& units,
+                         const std::string& line)
+{
+    JsonValue response;
+    std::string parse_error;
+    if (!JsonValue::parse(line, response, parse_error) ||
+        !response.isObject())
+        throw std::runtime_error(
+            "shard worker sent a malformed response: " + parse_error);
+    if (const JsonValue* error = response.get("error")) {
+        const JsonValue* message = error->get("message");
+        throw std::runtime_error(
+            "shard worker error: " +
+            (message && message->isString() ? message->asString()
+                                            : error->dump()));
+    }
+    const JsonValue* result = response.get("result");
+    const JsonValue* entries = result ? result->get("units") : nullptr;
+    if (!entries || !entries->isArray() ||
+        entries->items().size() != units.size())
+        throw std::runtime_error(
+            "shard worker response does not cover its batch");
+    const auto count = [](const JsonValue& entry, const char* key) {
+        const JsonValue* v = entry.get(key);
+        return v ? static_cast<std::uint64_t>(v->asInt()) : 0;
+    };
+    std::vector<WireUnit> decoded(units.size());
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const JsonValue& entry = entries->items()[i];
+        WireUnit& w = decoded[i];
+        const JsonValue* unit_id = entry.get("unit");
+        if (!unit_id ||
+            static_cast<std::uint64_t>(unit_id->asInt(-1)) != units[i])
+            throw std::runtime_error(
+                "shard worker response units out of order");
+        w.unit = units[i];
+        checkers::UnitResult& r = w.result;
+        const JsonValue* failed = entry.get("failed");
+        r.failed = failed && failed->asBool();
+        if (const JsonValue* error = entry.get("error"))
+            r.error = error->asString();
+        const JsonValue* stop = entry.get("budget_stop");
+        const std::string stop_name = stop ? stop->asString() : "none";
+        bool stop_known = false;
+        for (support::BudgetStop s :
+             {support::BudgetStop::None, support::BudgetStop::Deadline,
+              support::BudgetStop::Steps, support::BudgetStop::Bytes})
+            if (stop_name == support::budgetStopName(s)) {
+                r.budget_stop = s;
+                stop_known = true;
+            }
+        if (!stop_known)
+            throw std::runtime_error(
+                "shard worker sent an unknown budget_stop '" + stop_name +
+                "'");
+        if (const JsonValue* ms = entry.get("wall_ms"))
+            r.wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::duration<double, std::milli>(ms->asDouble()));
+        r.stats.visits = count(entry, "visits");
+        r.stats.pruned_edges = count(entry, "pruned_edges");
+        r.stats.prune_cache_hits = count(entry, "prune_cache_hits");
+        r.stats.prune_skipped_nary = count(entry, "prune_skipped_nary");
+        const JsonValue* data = entry.get("data");
+        std::string decode_error = "no data";
+        if (!data || !data->isString() ||
+            !cache::AnalysisCache::decodeUnit(data->asString(), w.payload,
+                                              decode_error))
+            throw std::runtime_error(
+                "shard worker returned an undecodable unit result: " +
+                decode_error);
+    }
+    return decoded;
 }
 
 } // namespace mc::server

@@ -14,168 +14,17 @@
  */
 #include "server/sharded_check.h"
 
-#include "checkers/registry.h"
-#include "flash/protocol_spec.h"
-#include "lang/fingerprint.h"
-#include "metal/feasibility.h"
-#include "server/json.h"
+#include "server/check_units.h"
 #include "shard/supervisor.h"
 #include "support/fault_injection.h"
 #include "support/metrics.h"
 #include "support/run_ledger.h"
 #include "support/trace.h"
-#include "support/witness.h"
 
-#include <chrono>
-#include <map>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 namespace mc::server {
-
-namespace {
-
-/** Per-unit outcome as reported by a worker (or synthesized locally
- *  for quarantined units). */
-struct UnitResult
-{
-    bool resolved = false;
-    bool failed = false;
-    std::string error;
-    /** budgetStopName spelling: "none", "deadline", "steps", "bytes". */
-    std::string budget_stop = "none";
-    double wall_ms = 0.0;
-    std::uint64_t visits = 0;
-    std::uint64_t pruned_edges = 0;
-    std::uint64_t prune_cache_hits = 0;
-    std::uint64_t prune_skipped_nary = 0;
-    int worker = -1;
-    std::uint64_t attempts = 0;
-    /** The decoded wire payload (state + diags), for cache stores. */
-    cache::CachedUnit payload;
-};
-
-/**
- * Render one check_units request line. The vocabulary is the `check`
- * params that shape analysis *results*; presentation knobs (format,
- * jobs) and containment policy (fail_fast — workers always contain,
- * the coordinator enforces the policy at merge) stay home.
- */
-std::string
-makeCheckUnitsRequest(const CheckRequest& request,
-                      const std::vector<std::uint64_t>& units,
-                      std::uint64_t id)
-{
-    JsonValue params = JsonValue::object();
-    if (request.mode == CheckRequest::Mode::Protocol) {
-        params.set("protocol", JsonValue::string(request.protocol));
-    } else {
-        JsonValue files = JsonValue::array();
-        for (const std::string& f : request.files)
-            files.push(JsonValue::string(f));
-        params.set("files", std::move(files));
-    }
-    params.set("prune_paths",
-               JsonValue::string(
-                   metal::pruneStrategyName(request.prune_strategy)));
-    params.set("match_strategy",
-               JsonValue::string(request.match_strategy ==
-                                         metal::MatchStrategy::Legacy
-                                     ? "legacy"
-                                     : "table"));
-    params.set("witness", JsonValue::boolean(request.witness));
-    if (request.witness_limit != 0)
-        params.set("witness_limit",
-                   JsonValue::number(
-                       static_cast<std::uint64_t>(request.witness_limit)));
-    if (request.unit_timeout_ms != 0)
-        params.set("unit_timeout_ms",
-                   JsonValue::number(static_cast<std::uint64_t>(
-                       request.unit_timeout_ms)));
-    if (request.unit_max_steps != 0)
-        params.set("unit_max_steps",
-                   JsonValue::number(static_cast<std::uint64_t>(
-                       request.unit_max_steps)));
-    JsonValue ids = JsonValue::array();
-    for (std::uint64_t u : units)
-        ids.push(JsonValue::number(u));
-    params.set("units", std::move(ids));
-
-    JsonValue line = JsonValue::object();
-    line.set("id", JsonValue::number(id));
-    line.set("method", JsonValue::string("check_units"));
-    line.set("params", std::move(params));
-    return line.dump();
-}
-
-/** Decode one worker response line into per-unit results. Anything
- *  malformed is fatal: the worker is alive but talking nonsense, which
- *  retrying cannot fix. */
-void
-absorbWorkerResponse(const std::vector<std::uint64_t>& units,
-                     const std::string& line, unsigned slot,
-                     const std::vector<unsigned>& attempts,
-                     std::vector<UnitResult>& results)
-{
-    JsonValue response;
-    std::string parse_error;
-    if (!JsonValue::parse(line, response, parse_error) ||
-        !response.isObject())
-        throw std::runtime_error(
-            "shard worker sent a malformed response: " + parse_error);
-    if (const JsonValue* error = response.get("error")) {
-        const JsonValue* message = error->get("message");
-        throw std::runtime_error(
-            "shard worker error: " +
-            (message && message->isString() ? message->asString()
-                                            : error->dump()));
-    }
-    const JsonValue* result = response.get("result");
-    const JsonValue* entries = result ? result->get("units") : nullptr;
-    if (!entries || !entries->isArray() ||
-        entries->items().size() != units.size())
-        throw std::runtime_error(
-            "shard worker response does not cover its batch");
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        const JsonValue& entry = entries->items()[i];
-        const JsonValue* unit_id = entry.get("unit");
-        if (!unit_id ||
-            static_cast<std::uint64_t>(unit_id->asInt(-1)) != units[i])
-            throw std::runtime_error(
-                "shard worker response units out of order");
-        UnitResult& r = results[units[i]];
-        r.resolved = true;
-        const JsonValue* failed = entry.get("failed");
-        r.failed = failed && failed->asBool();
-        if (const JsonValue* error = entry.get("error"))
-            r.error = error->asString();
-        if (const JsonValue* stop = entry.get("budget_stop"))
-            r.budget_stop = stop->asString();
-        if (const JsonValue* ms = entry.get("wall_ms"))
-            r.wall_ms = ms->asDouble();
-        if (const JsonValue* v = entry.get("visits"))
-            r.visits = static_cast<std::uint64_t>(v->asInt());
-        if (const JsonValue* v = entry.get("pruned_edges"))
-            r.pruned_edges = static_cast<std::uint64_t>(v->asInt());
-        if (const JsonValue* v = entry.get("prune_cache_hits"))
-            r.prune_cache_hits = static_cast<std::uint64_t>(v->asInt());
-        if (const JsonValue* v = entry.get("prune_skipped_nary"))
-            r.prune_skipped_nary = static_cast<std::uint64_t>(v->asInt());
-        r.worker = static_cast<int>(slot);
-        r.attempts = i < attempts.size() ? attempts[i] : 1;
-        const JsonValue* data = entry.get("data");
-        std::string decode_error;
-        if (!data || !data->isString() ||
-            !cache::AnalysisCache::decodeUnit(data->asString(), r.payload,
-                                              decode_error))
-            throw std::runtime_error(
-                "shard worker returned an undecodable unit result: " +
-                decode_error);
-    }
-}
-
-} // namespace
 
 std::vector<checkers::CheckerRunStats>
 runCheckersSharded(const lang::Program& program,
@@ -183,115 +32,39 @@ runCheckersSharded(const lang::Program& program,
                    const std::vector<checkers::Checker*>& checkers,
                    support::DiagnosticSink& sink,
                    const CheckRequest& request,
-                   const ShardRunOptions& options)
+                   cache::AnalysisCache* cache,
+                   checkers::RunHealth* health)
 {
-    // Sharding rides on the registry factory exactly as the in-process
-    // unit machinery does: a checker the factory cannot rebuild cannot
-    // be replayed from a worker's serialized state either.
-    bool clonable = true;
-    for (checkers::Checker* checker : checkers)
-        if (!checkers::makeChecker(checker->name(),
-                                   options.checker_options))
-            clonable = false;
-    if (!clonable)
-        return checkers::runCheckers(program, spec, checkers, sink);
-
+    checkers::CheckerSetOptions copts;
+    copts.prune_strategy = request.prune_strategy;
+    const checkers::UnitGrid grid =
+        checkers::builtinGrid(program, spec, checkers, copts);
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     support::TraceRecorder& tracer = support::TraceRecorder::global();
-    using Clock = std::chrono::steady_clock;
-
-    const std::vector<const lang::FunctionDecl*>& fns =
-        program.functions();
-    const std::size_t nfns = fns.size();
-    const std::size_t ncheckers = checkers.size();
-    const std::size_t nunits = nfns * ncheckers;
-
-    std::vector<int> base_errors;
-    std::vector<int> base_warnings;
-    for (checkers::Checker* checker : checkers) {
-        checker->reset();
-        base_errors.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Error));
-        base_warnings.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Warning));
-    }
-
     if (metrics.enabled()) {
         metrics.gauge("shard.workers").observe(request.shards);
-        metrics.counter("shard.work_units").add(nunits);
-        metrics.counter("engine.unit_failures").add(0);
-        metrics.counter("budget.truncations").add(0);
-        metrics.counter("witness.truncations").add(0);
-        metrics.counter("ledger.events").add(0);
-        metrics.histogram("unit.wall_ns");
-        metrics.histogram("unit.visits");
+        metrics.counter("shard.work_units").add(grid.size());
     }
+    checkers::registerUnitMetrics();
 
-    std::vector<std::unique_ptr<checkers::Checker>> unit_checkers(nunits);
-    std::vector<support::DiagnosticSink> unit_sinks(nunits);
-    std::vector<char> unit_hit(nunits, 0);
-    std::vector<std::uint64_t> unit_keys(nunits, 0);
-
-    // Phase 0: sequential cache lookup, same keys and same demote-to-miss
-    // rules as runCheckersParallel — a hit replays locally and its unit
-    // never reaches a worker.
-    if (cache::AnalysisCache* cache = options.cache) {
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                "cache.lookup", "cache");
-        std::map<std::string, std::uint64_t> fn_fps =
-            lang::fingerprintFunctions(program);
-        std::map<std::string, std::int32_t> file_ids =
-            cache::AnalysisCache::fileIdsByName(program.sourceManager());
-        std::uint64_t spec_fp = flash::specFingerprint(spec);
-        for (std::size_t u = 0; u < nunits; ++u) {
-            std::size_t f = u / ncheckers;
-            std::size_t c = u % ncheckers;
-            auto fp = fn_fps.find(fns[f]->name);
-            if (fp == fn_fps.end())
-                continue;
-            unit_keys[u] = checkers::unitCacheKey(
-                checkers[c]->name(), options.checker_options, spec_fp,
-                fp->second);
-            cache::CachedUnit unit;
-            if (!cache->lookup(unit_keys[u], unit))
-                continue;
-            if (unit.checker != checkers[c]->name() ||
-                unit.function != fns[f]->name)
-                continue; // key collision; vanishingly unlikely, run cold
-            std::vector<support::Diagnostic> replayed;
-            bool ok = true;
-            for (const cache::CachedDiagnostic& cached : unit.diags) {
-                support::Diagnostic d;
-                if (!cache::AnalysisCache::fromCached(cached, file_ids,
-                                                      d)) {
-                    ok = false;
-                    break;
-                }
-                replayed.push_back(std::move(d));
-            }
-            if (!ok)
-                continue;
-            auto rebuilt = checkers::makeChecker(checkers[c]->name(),
-                                                 options.checker_options);
-            std::istringstream state(unit.state);
-            if (!rebuilt->loadState(state))
-                continue;
-            for (support::Diagnostic& d : replayed)
-                unit_sinks[u].report(std::move(d));
-            unit_checkers[u] = std::move(rebuilt);
-            unit_hit[u] = 1;
-        }
-    }
-
+    // Cache hits replay locally and never reach a worker; the lookup is
+    // sequential, before any worker is spawned.
+    std::vector<checkers::UnitResult> results(grid.size());
+    support::ThreadPool inline_pool(1);
+    const std::vector<std::uint64_t> keys =
+        checkers::lookupUnits(grid, cache, inline_pool, results);
     std::vector<std::uint64_t> misses;
-    for (std::size_t u = 0; u < nunits; ++u)
-        if (!unit_hit[u])
+    for (std::size_t u = 0; u < grid.size(); ++u)
+        if (!results[u].hit)
             misses.push_back(u);
 
-    std::vector<UnitResult> results(nunits);
-    std::vector<char> quarantined(nunits, 0);
+    // Worker results land in the same slots as cache hits and replay
+    // through the same replayUnit — from here on the merge cannot tell a
+    // cache hit from a worker result from an in-process unit. Payloads
+    // replay once supervision is over, so the coordinator never holds up
+    // a worker's next batch.
+    std::vector<std::optional<cache::CachedUnit>> payloads(grid.size());
     support::RunLedger& ledger = support::RunLedger::global();
-
     if (!misses.empty()) {
         shard::SupervisorOptions sopts;
         sopts.workers = request.shards;
@@ -309,11 +82,19 @@ runCheckersSharded(const lang::Program& program,
         hooks.on_result = [&](const std::vector<std::uint64_t>& units,
                               const std::string& line, unsigned slot,
                               const std::vector<unsigned>& attempts) {
-            absorbWorkerResponse(units, line, slot, attempts, results);
+            std::vector<WireUnit> decoded =
+                decodeCheckUnitsResponse(units, line);
+            for (std::size_t i = 0; i < decoded.size(); ++i) {
+                checkers::UnitResult& r = results[decoded[i].unit];
+                r = std::move(decoded[i].result);
+                r.worker = static_cast<int>(slot);
+                r.attempts = i < attempts.size() ? attempts[i] : 1;
+                payloads[decoded[i].unit] = std::move(decoded[i].payload);
+            }
         };
         hooks.on_quarantine = [&](std::uint64_t unit, unsigned crashes) {
-            quarantined[unit] = 1;
-            results[unit].resolved = true;
+            checkers::failUnit(grid, unit, results[unit],
+                               "shard worker crashed; unit quarantined");
             results[unit].attempts = crashes;
         };
         hooks.on_event = [&](unsigned slot, const char* action,
@@ -327,187 +108,35 @@ runCheckersSharded(const lang::Program& program,
         shard::Supervisor(sopts).run(misses, hooks);
     }
 
-    // Replay worker results into the same per-unit (checker, sink) slots
-    // phase 0 fills for hits — from here on the merge cannot tell a
-    // cache hit from a worker result from an in-process unit. Replay
-    // failures are fatal, not demotable: the unit already ran, and
+    // Replay failures are fatal, not demotable: the unit already ran, and
     // silently re-running it could mask a determinism bug.
-    std::map<std::string, std::int32_t> file_ids =
+    const std::map<std::string, std::int32_t> file_ids =
         cache::AnalysisCache::fileIdsByName(program.sourceManager());
-    for (std::uint64_t u : misses) {
-        const std::size_t f = static_cast<std::size_t>(u) / ncheckers;
-        const std::size_t c = static_cast<std::size_t>(u) % ncheckers;
-        UnitResult& r = results[u];
-        if (!r.resolved)
-            throw std::runtime_error("shard run left unit '" +
-                                     fns[f]->name + "/" +
-                                     checkers[c]->name() + "' unresolved");
-        if (quarantined[u]) {
-            // Synthesized locally, byte-for-byte the shape of every
-            // other contained unit failure — and a pure function of
-            // unit identity, so any shard count quarantines the same
-            // units with the same bytes.
-            r.failed = true;
-            r.error = "shard worker crashed; unit quarantined";
-            unit_checkers[u] = checkers::makeChecker(
-                checkers[c]->name(), options.checker_options);
-            unit_sinks[u].warning(
-                fns[f]->loc, "engine", "unit-failure",
-                "analysis incomplete: " + checkers[c]->name() +
-                    " failed on '" + fns[f]->name + "': " + r.error);
-            continue;
-        }
-        auto rebuilt = checkers::makeChecker(checkers[c]->name(),
-                                             options.checker_options);
-        std::istringstream state(r.payload.state);
-        if (!rebuilt->loadState(state))
-            throw std::runtime_error(
-                "shard worker returned unloadable checker state for '" +
-                fns[f]->name + "/" + checkers[c]->name() + "'");
-        for (const cache::CachedDiagnostic& cached : r.payload.diags) {
-            support::Diagnostic d;
-            if (!cache::AnalysisCache::fromCached(cached, file_ids, d))
+    for (std::size_t u = 0; u < grid.size(); ++u) {
+        if (payloads[u]) {
+            if (!checkers::replayUnit(grid, u, *payloads[u], file_ids,
+                                      results[u]))
                 throw std::runtime_error(
-                    "shard worker diagnostic names unknown file '" +
-                    cached.file + "'");
-            unit_sinks[u].report(std::move(d));
+                    "shard worker returned an unreplayable result for '" +
+                    grid.label(u) + "'");
+            if (cache && !cache->readonly() && keys[u] != 0 &&
+                checkers::storable(results[u]))
+                cache->store(keys[u], *payloads[u]);
+        } else if (!results[u].checker) {
+            throw std::runtime_error("shard run left unit '" +
+                                     grid.label(u) + "' unresolved");
         }
-        unit_checkers[u] = std::move(rebuilt);
-        if (options.cache && !options.cache->readonly() &&
-            unit_keys[u] != 0 && !r.failed && r.budget_stop == "none")
-            options.cache->store(unit_keys[u], r.payload);
-    }
-
-    // Sequential merge in the sequential runner's visit order — the
-    // same loop as runCheckersParallel, with worker-reported timing and
-    // walk stats standing in for locally measured ones.
-    std::set<std::int32_t> degraded_files;
-    if (ledger.enabled())
-        for (const lang::TranslationUnit& tu : program.units())
-            if (!tu.issues.empty())
-                degraded_files.insert(tu.file_id);
-    std::vector<Clock::duration> elapsed(ncheckers,
-                                         Clock::duration::zero());
-    std::uint64_t failures = 0;
-    std::uint64_t truncations = 0;
-    std::uint64_t witness_truncations = 0;
-    for (std::size_t u = 0; u < nunits; ++u) {
-        std::size_t f = u / ncheckers;
-        std::size_t c = u % ncheckers;
-        const std::string label =
-            fns[f]->name + "/" + checkers[c]->name();
-        UnitResult& r = results[u];
-        // On an injected merge fault the unit's sink is *replaced*, not
-        // appended to — a failed unit contributes no partial findings,
-        // exactly like every other contained unit failure. The sink
-        // holds a mutex (not assignable), so replacement is a local.
-        support::DiagnosticSink fault_sink;
-        support::DiagnosticSink* merged = &unit_sinks[u];
+        // Keyed by unit identity: the same units fault at any shard
+        // count, and fail as the standard contained unit failure.
         try {
-            // Keyed by unit identity: the same units fault at any shard
-            // count, and the containment below is the standard unit
-            // failure, so injected merge faults stay byte-deterministic.
-            support::fault::probe("shard.merge", label);
+            support::fault::probe("shard.merge", grid.label(u));
         } catch (const support::InjectedFault& e) {
-            r.failed = true;
-            r.error = e.what();
-            unit_hit[u] = 0;
-            unit_checkers[u] = checkers::makeChecker(
-                checkers[c]->name(), options.checker_options);
-            fault_sink.warning(
-                fns[f]->loc, "engine", "unit-failure",
-                "analysis incomplete: " + checkers[c]->name() +
-                    " failed on '" + fns[f]->name + "': " + r.error);
-            merged = &fault_sink;
+            checkers::failUnit(grid, u, results[u], e.what());
         }
-        bool unit_failed = !unit_hit[u] && r.failed;
-        bool truncated = !unit_hit[u] && r.budget_stop != "none";
-        if (options.fail_fast && unit_failed)
-            throw std::runtime_error("unit '" + label +
-                                     "' failed: " + r.error);
-        checkers[c]->absorb(*unit_checkers[u]);
-        elapsed[c] += std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(r.wall_ms));
-        for (const support::Diagnostic& d : merged->diagnostics()) {
-            witness_truncations += d.witness.truncated ? 1 : 0;
-            sink.report(d);
-        }
-        failures += unit_failed ? 1 : 0;
-        truncations += truncated ? 1 : 0;
-        if (ledger.enabled()) {
-            support::LedgerUnitEvent event;
-            event.function = fns[f]->name;
-            event.checker = checkers[c]->name();
-            event.wall_ms = r.wall_ms;
-            event.visits = r.visits;
-            event.pruned_edges = r.pruned_edges;
-            event.prune_cache_hits = r.prune_cache_hits;
-            event.prune_skipped_nary = r.prune_skipped_nary;
-            event.cache =
-                !options.cache ? "off" : unit_hit[u] ? "hit" : "miss";
-            event.budget_stop =
-                unit_hit[u] ? "none" : r.budget_stop.c_str();
-            event.truncated = truncated;
-            event.failed = unit_failed;
-            event.degraded_parse =
-                degraded_files.count(fns[f]->loc.file_id) != 0;
-            event.worker = unit_hit[u] ? -1 : r.worker;
-            event.attempts = unit_hit[u] ? 0 : r.attempts;
-            ledger.unit(event);
-        }
-        if (metrics.enabled() && !unit_hit[u]) {
-            metrics.histogram("unit.wall_ns")
-                .observe(static_cast<std::uint64_t>(r.wall_ms * 1e6));
-            metrics.histogram("unit.visits").observe(r.visits);
-        }
-    }
-    if (options.health) {
-        options.health->unit_failures += failures;
-        options.health->budget_truncations += truncations;
-    }
-    if (metrics.enabled()) {
-        metrics.counter("engine.unit_failures").add(failures);
-        metrics.counter("budget.truncations").add(truncations);
-        metrics.counter("witness.truncations").add(witness_truncations);
     }
 
-    checkers::CheckContext ctx{program, spec, sink};
-    for (std::size_t i = 0; i < ncheckers; ++i) {
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                checkers[i]->name() + ".program",
-                                "checker");
-        Clock::time_point t0 = Clock::now();
-        checkers[i]->checkProgram(ctx);
-        elapsed[i] += Clock::now() - t0;
-    }
-
-    std::vector<checkers::CheckerRunStats> stats;
-    for (std::size_t i = 0; i < ncheckers; ++i) {
-        checkers::CheckerRunStats s;
-        s.checker = checkers[i]->name();
-        s.errors = sink.countForChecker(s.checker,
-                                        support::Severity::Error) -
-                   base_errors[i];
-        s.warnings = sink.countForChecker(s.checker,
-                                          support::Severity::Warning) -
-                     base_warnings[i];
-        s.applied = checkers[i]->applied();
-        s.wall_ms =
-            std::chrono::duration<double, std::milli>(elapsed[i]).count();
-        if (metrics.enabled()) {
-            metrics.timer("checker." + s.checker)
-                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed[i]));
-            metrics.counter("checker." + s.checker + ".errors")
-                .add(static_cast<std::uint64_t>(s.errors));
-            metrics.counter("checker." + s.checker + ".warnings")
-                .add(static_cast<std::uint64_t>(s.warnings));
-            metrics.counter("checker." + s.checker + ".applied")
-                .add(static_cast<std::uint64_t>(s.applied));
-        }
-        stats.push_back(std::move(s));
-    }
-    return stats;
+    return checkers::mergeUnits(grid, results, sink,
+                                {cache != nullptr, request.fail_fast, health});
 }
 
 } // namespace mc::server

@@ -98,15 +98,6 @@ TEST(UnitGuard, ContainsNonStandardExceptions)
     EXPECT_NE(outcome.error.find("fn/checker"), std::string::npos);
 }
 
-TEST(UnitGuard, RethrowModePropagates)
-{
-    UnitGuard guard("fn/checker", support::BudgetLimits{},
-                    /*rethrow=*/true);
-    EXPECT_THROW(
-        guard.run([] { throw std::runtime_error("boom"); }),
-        std::runtime_error);
-}
-
 TEST(UnitGuard, CleanBodyReportsBudgetUsage)
 {
     support::BudgetLimits limits;
@@ -198,11 +189,21 @@ TEST(Containment, FailFastEscalates)
 {
     if (!kFaultsCompiledIn)
         GTEST_SKIP() << "fault injection compiled out";
-    ArmedScope armed("checker.unit:1");
-    Fixture fx;
-    RunHealth health;
-    EXPECT_THROW(fx.run(1, health, /*fail_fast=*/true),
-                 support::InjectedFault);
+    // checker.unit:1 fails every unit; fail-fast names the first one in
+    // function-major merge order, whatever the job count.
+    for (unsigned jobs : {1u, 4u}) {
+        ArmedScope armed("checker.unit:1");
+        Fixture fx;
+        RunHealth health;
+        try {
+            fx.run(jobs, health, /*fail_fast=*/true);
+            ADD_FAILURE() << "fail-fast run did not throw at jobs " << jobs;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "unit 'PILocalGet/buffer_mgmt' failed: injected "
+                      "fault at checker.unit [PILocalGet/buffer_mgmt]");
+        }
+    }
 }
 
 TEST(Containment, StepBudgetTruncatesGracefully)

@@ -132,7 +132,9 @@ TEST(ParallelCheckers, AbsorbMergesInterProceduralState)
 
 TEST(ParallelCheckers, FallsBackWhenCheckerUnknownToFactory)
 {
-    /** A checker the registry factory cannot rebuild. */
+    // There is no sequential fallback any more: a checker the registry
+    // factory cannot rebuild cannot run as units, so the run rejects it
+    // up front instead of silently losing parallelism and containment.
     class LocalChecker : public Checker
     {
       public:
@@ -146,26 +148,13 @@ TEST(ParallelCheckers, FallsBackWhenCheckerUnknownToFactory)
     std::vector<Checker*> checkers = set.pointers();
     checkers.push_back(&local);
 
-    support::DiagnosticSink seq_sink;
-    auto seq_checkers = makeAllCheckers();
-    std::vector<Checker*> seq_ptrs = seq_checkers.pointers();
-    LocalChecker seq_local;
-    seq_ptrs.push_back(&seq_local);
-    auto seq_stats = runCheckers(*loaded.program, loaded.gen.spec,
-                                 seq_ptrs, seq_sink);
-
-    support::DiagnosticSink par_sink;
+    support::DiagnosticSink sink;
     ParallelRunOptions options;
     options.jobs = 4;
-    auto par_stats = runCheckersParallel(*loaded.program, loaded.gen.spec,
-                                         checkers, par_sink, options);
-
-    ASSERT_EQ(seq_stats.size(), par_stats.size());
-    for (std::size_t i = 0; i < seq_stats.size(); ++i) {
-        EXPECT_EQ(seq_stats[i].checker, par_stats[i].checker);
-        EXPECT_EQ(seq_stats[i].errors, par_stats[i].errors);
-    }
-    EXPECT_EQ(seq_sink.diagnostics().size(), par_sink.diagnostics().size());
+    EXPECT_THROW(runCheckersParallel(*loaded.program, loaded.gen.spec,
+                                     checkers, sink, options),
+                 std::invalid_argument);
+    EXPECT_TRUE(sink.diagnostics().empty());
 }
 
 } // namespace

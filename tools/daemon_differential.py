@@ -17,6 +17,12 @@ harness pins that guarantee three ways:
     (cold + warm) against batch over the same file list. File mode has
     no timing table, so text output is comparable here too.
 
+``metal`` mode
+    Emit a protocol corpus and run one user metal checker over it
+    (``--metal``): a cold and a warm daemon check must both match the
+    batch ``mccheck --metal`` bytes, and the warm one must replay every
+    unit from resident state.
+
 ``edit`` mode
     A full edit/re-check cycle: cold check, warm check, then an on-disk
     edit followed by a re-check that must (a) match a fresh batch run
@@ -160,6 +166,23 @@ def run_files_mode(args, client):
     require_full_reuse("warm", warm["stats"])
 
 
+def run_metal_mode(args, client):
+    require(args.metal, "metal mode needs --metal <checker.metal>")
+    sources = emit_corpus(args.mccheck, args.protocol, args.workdir)
+    batch_out, batch_rc = batch_run(
+        args.mccheck, ["--metal", args.metal, *sources, "--format", args.format]
+    )
+    require(batch_out, "batch run produced no stdout; comparison vacuous")
+    params = {"files": sources, "metal": args.metal, "format": args.format}
+
+    cold = client.check(params)
+    compare("cold", cold, batch_out, batch_rc)
+
+    warm = client.check(params)
+    compare("warm", warm, batch_out, batch_rc)
+    require_full_reuse("warm", warm["stats"])
+
+
 def run_edit_mode(args, client):
     sources = emit_corpus(args.mccheck, args.protocol, args.workdir)
     fmt = ["--format", args.format]
@@ -281,8 +304,9 @@ def main(argv=None):
     parser.add_argument(
         "--mode",
         required=True,
-        choices=["protocol", "files", "edit", "kill"],
+        choices=["protocol", "files", "metal", "edit", "kill"],
     )
+    parser.add_argument("--metal", help="checker for metal mode")
     parser.add_argument("--protocol", required=True)
     parser.add_argument("--format", default="json")
     parser.add_argument(
@@ -303,6 +327,8 @@ def main(argv=None):
                     run_protocol_mode(args, client)
                 elif args.mode == "files":
                     run_files_mode(args, client)
+                elif args.mode == "metal":
+                    run_metal_mode(args, client)
                 else:
                     run_edit_mode(args, client)
                 client.shutdown()
