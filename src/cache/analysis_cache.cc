@@ -3,10 +3,16 @@
 #include "support/fault_injection.h"
 #include "support/hash.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 #include "support/version.h"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cctype>
+#include <charconv>
+#include <chrono>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,11 +40,10 @@ encodeField(std::string_view s)
     std::string out;
     out.reserve(s.size());
     for (unsigned char c : s) {
-        bool plain = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                     (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                     c == ',' || c == ':' || c == '/' || c == '-';
-        if (plain) {
-            out.push_back(static_cast<char>(c));
+        const char plain = static_cast<char>(c);
+        if (std::isalnum(c) ||
+            std::string_view("_.,:/-").find(plain) != std::string_view::npos) {
+            out.push_back(plain);
         } else {
             out.push_back('%');
             out.push_back(hex[c >> 4]);
@@ -48,55 +53,14 @@ encodeField(std::string_view s)
     return out;
 }
 
-bool
-decodeField(std::string_view s, std::string& out)
+/** A lowercase hex digit's value, or -1. */
+int
+hexDigit(char c)
 {
-    out.clear();
-    if (s == "%")
-        return true;
-    auto hexVal = [](char c) -> int {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        return -1;
-    };
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out.push_back(s[i]);
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return false;
-        int hi = hexVal(s[i + 1]);
-        int lo = hexVal(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out.push_back(static_cast<char>(hi * 16 + lo));
-        i += 2;
-    }
-    return true;
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    return c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
 }
-
-/** Cursor over the encoded entry; hands out '\n'-terminated lines. */
-struct LineCursor
-{
-    std::string_view text;
-    std::size_t pos = 0;
-
-    bool
-    nextLine(std::string_view& line)
-    {
-        if (pos >= text.size())
-            return false;
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            return false; // entries always end in '\n'; treat as truncated
-        line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    }
-};
 
 std::vector<std::string_view>
 splitFields(std::string_view line)
@@ -114,27 +78,139 @@ splitFields(std::string_view line)
     return out;
 }
 
-bool
-parseInt(std::string_view s, long long& out)
+/**
+ * Pulls '\n'-terminated lines of space-separated fields off `text`.
+ * Once a line or field fails to parse, `ok` stays false and every
+ * accessor returns a zero value.
+ */
+struct FieldReader
 {
-    if (s.empty())
-        return false;
-    long long value = 0;
-    std::size_t i = 0;
-    bool neg = s[0] == '-';
-    if (neg)
-        i = 1;
-    if (i >= s.size())
-        return false;
-    for (; i < s.size(); ++i) {
-        if (s[i] < '0' || s[i] > '9')
-            return false;
-        value = value * 10 + (s[i] - '0');
-        if (value < 0)
-            return false; // overflow
+    explicit FieldReader(std::string_view t) : text(t) {}
+
+    std::string_view text;
+    std::size_t pos = 0;
+    /** The last line read, without its '\n'. */
+    std::string_view raw;
+    std::vector<std::string_view> fields;
+    std::size_t next = 1;
+    bool ok = true;
+
+    /** The next line must be `tag` followed by exactly `n` fields. */
+    bool
+    line(std::string_view tag, std::size_t n)
+    {
+        const std::size_t nl = text.find('\n', pos);
+        ok = ok && nl != std::string_view::npos;
+        if (ok) {
+            raw = text.substr(pos, nl - pos);
+            pos = nl + 1;
+            fields = splitFields(raw);
+            ok = fields.size() == n + 1 && fields[0] == tag;
+        }
+        next = 1;
+        return ok;
     }
-    out = neg ? -value : value;
-    return true;
+
+    long long
+    num(long long lo = LLONG_MIN, long long hi = LLONG_MAX)
+    {
+        long long v = 0;
+        if (ok) {
+            const std::string_view f = fields[next++];
+            const auto [end, ec] =
+                std::from_chars(f.data(), f.data() + f.size(), v);
+            ok = ec == std::errc() && end == f.data() + f.size() &&
+                 v >= lo && v <= hi;
+        }
+        return ok ? v : 0;
+    }
+
+    /** A percent-encoded field (see encodeField). */
+    std::string
+    str()
+    {
+        std::string v;
+        const std::string_view f = ok ? fields[next++] : "%";
+        for (std::size_t i = 0; ok && f != "%" && i < f.size(); ++i) {
+            if (f[i] != '%') {
+                v.push_back(f[i]);
+                continue;
+            }
+            const int hi = i + 2 < f.size() ? hexDigit(f[i + 1]) : -1;
+            const int lo = hi < 0 ? -1 : hexDigit(f[i + 2]);
+            ok = lo >= 0;
+            v.push_back(static_cast<char>(hi * 16 + lo));
+            i += 2;
+        }
+        return v;
+    }
+
+    /** Hex digits; callers compare the line against its rendering. */
+    std::uint64_t
+    hex()
+    {
+        std::uint64_t v = 0;
+        for (char c : ok ? fields[next++] : std::string_view())
+            v = v << 4 | static_cast<std::uint64_t>(hexDigit(c));
+        return v;
+    }
+};
+
+constexpr const char* kSegmentExtension = ".mcseg";
+
+/** Add `n` to a stats atomic and to its `cache.*` metric. */
+void
+bump(std::atomic<std::uint64_t>& stat, const char* metric,
+     std::uint64_t n = 1)
+{
+    stat.fetch_add(n, std::memory_order_relaxed);
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled())
+        metrics.counter(metric).add(n);
+}
+
+/** Pre-register every cache.* counter so a metrics report always
+ *  carries the full set — a warm run's "cache.misses": 0 is a
+ *  statement, not an omission. */
+void
+registerMetrics()
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled())
+        for (const char* name :
+             {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
+              "cache.evictions", "cache.bytes_read", "cache.bytes_written",
+              "cache.files_created"})
+            metrics.counter(name).add(0);
+}
+
+std::string
+segmentHeader(std::size_t count)
+{
+    return "mccheck-segment " + std::to_string(kCacheFormatVersion) + ' ' +
+           std::to_string(count) + '\n';
+}
+
+/** Covers the key, the entry's size (length prefix) and its bytes. */
+std::uint64_t
+recordSum(std::uint64_t key, std::string_view entry)
+{
+    return support::Fnv1a().u64(key).str(entry).value();
+}
+
+std::string
+frameLine(std::uint64_t key, std::size_t size, std::uint64_t sum)
+{
+    return "record " + support::hashHex(key) + ' ' + std::to_string(size) +
+           ' ' + support::hashHex(sum);
+}
+
+void
+appendRecord(std::string& out, std::uint64_t key, std::string_view entry)
+{
+    out += frameLine(key, entry.size(), recordSum(key, entry));
+    out += '\n';
+    out += entry;
 }
 
 } // namespace
@@ -148,70 +224,84 @@ AnalysisCache::AnalysisCache(std::string dir, bool readonly)
     if (ec || !fs::is_directory(dir_, ec))
         throw std::runtime_error("cannot open cache directory '" + dir_ +
                                  "'" + (ec ? ": " + ec.message() : ""));
-    // Pre-register every cache.* counter so a metrics report always
-    // carries the full set — a warm run's "cache.misses": 0 is a
-    // statement, not an omission.
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled())
-        for (const char* name :
-             {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
-              "cache.evictions", "cache.bytes_read", "cache.bytes_written"})
-            metrics.counter(name).add(0);
+    registerMetrics();
+    load();
 }
 
-AnalysisCache::AnalysisCache(MemoryTag) : dir_("<memory>"), memory_(true)
+AnalysisCache::~AnalysisCache()
 {
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled())
-        for (const char* name :
-             {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
-              "cache.evictions", "cache.bytes_read", "cache.bytes_written"})
-            metrics.counter(name).add(0);
+    try {
+        flush();
+    } catch (...) {
+        // A cache that cannot publish only costs the next run a
+        // re-analysis.
+    }
 }
 
 std::unique_ptr<AnalysisCache>
 AnalysisCache::inMemory()
 {
-    return std::unique_ptr<AnalysisCache>(new AnalysisCache(MemoryTag{}));
+    registerMetrics();
+    return std::unique_ptr<AnalysisCache>(new AnalysisCache());
+}
+
+void
+AnalysisCache::load()
+{
+    std::vector<fs::path> paths;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
+         it.increment(ec))
+        if (it->path().extension() == kSegmentExtension)
+            paths.push_back(it->path());
+    // Segment names start with their creation time, so name order is
+    // store order across runs.
+    std::sort(paths.begin(), paths.end());
+    for (const fs::path& path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        if (!in)
+            continue; // removed by a concurrent compaction
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        std::vector<SegmentRecord> records;
+        std::string error;
+        const std::size_t damaged =
+            decodeSegment(buffer.str(), records, error);
+        for (SegmentRecord& record : records)
+            put(record.key, std::move(record.entry));
+        segments_.push_back(path.string());
+        if (damaged == 0)
+            continue;
+        bump(corrupt_, "cache.corrupt", damaged);
+        warn("cache segment " + path.string() + ": " +
+             std::to_string(damaged) + " record(s) unusable (" + error +
+             "); re-analyzing");
+        compact_ = true;
+    }
+    published_seq_ = next_seq_;
+}
+
+void
+AnalysisCache::put(std::uint64_t key, std::string text)
+{
+    Entry& entry = entries_[key];
+    bytes_ += text.size();
+    bytes_ -= entry.text.size();
+    entry = Entry{next_seq_++, std::move(text)};
 }
 
 std::uint64_t
 AnalysisCache::entryCount() const
 {
-    if (memory_) {
-        std::lock_guard<std::mutex> lock(mem_mu_);
-        return mem_.size();
-    }
-    std::uint64_t n = 0;
-    std::error_code ec;
-    fs::directory_iterator it(dir_, ec);
-    if (ec)
-        return 0;
-    for (fs::directory_iterator end; it != end; it.increment(ec)) {
-        if (ec)
-            break;
-        if (it->path().extension() == ".mcu")
-            ++n;
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_.size();
 }
 
 std::uint64_t
 AnalysisCache::residentBytes() const
 {
-    if (!memory_)
-        return 0;
-    std::lock_guard<std::mutex> lock(mem_mu_);
-    std::uint64_t total = 0;
-    for (const auto& [key, entry] : mem_)
-        total += entry.second.size();
-    return total;
-}
-
-std::string
-AnalysisCache::entryPath(std::uint64_t key) const
-{
-    return dir_ + "/" + support::hashHex(key) + ".mcu";
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
 }
 
 void
@@ -221,101 +311,56 @@ AnalysisCache::warn(std::string message)
     warnings_.push_back(std::move(message));
 }
 
-void
-AnalysisCache::countMiss(bool corrupt_entry, const std::string& path,
-                         const std::string& reason)
+bool
+AnalysisCache::corruptMiss(std::uint64_t key, const std::string& reason)
 {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled())
-        metrics.counter("cache.misses").add();
-    if (!corrupt_entry)
-        return;
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics.enabled())
-        metrics.counter("cache.corrupt").add();
-    warn("cache entry " + path + " is unusable (" + reason +
-         "); re-analyzing");
     // A bad entry would fail every future lookup too; drop it so the
-    // next store rewrites a good one. Readonly mode preserves evidence.
+    // next store replaces it, and compact so the next flush drops it
+    // from disk. Readonly mode preserves the evidence.
     if (!readonly_) {
-        std::error_code ec;
-        fs::remove(path, ec);
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            bytes_ -= it->second.text.size();
+            entries_.erase(it);
+        }
+        compact_ = true;
     }
+    bump(misses_, "cache.misses");
+    bump(corrupt_, "cache.corrupt");
+    warn("cache entry " + support::hashHex(key) + " is unusable (" +
+         reason + "); re-analyzing");
+    return false;
 }
 
 bool
 AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
 {
-    const std::string path = entryPath(key);
-    // I/O faults are contained right here: a failed read is exactly a
-    // corrupt-entry miss, so the caller re-analyzes and the run's output
-    // is unaffected. The injected variant follows the same path.
+    // Faults are contained right here: an injected lookup failure is
+    // exactly a corrupt-entry miss, so the caller re-analyzes and the
+    // run's output is unaffected.
     try {
         support::fault::probe("cache.lookup", support::hashHex(key));
     } catch (const support::InjectedFault& f) {
-        if (memory_) {
-            std::lock_guard<std::mutex> lock(mem_mu_);
-            mem_.erase(key);
-        }
-        countMiss(true, path, f.what());
+        return corruptMiss(key, f.what());
+    }
+    std::string text;
+    bool found = false;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = entries_.find(key);
+        if ((found = it != entries_.end()))
+            text = it->second.text;
+    }
+    if (!found) {
+        bump(misses_, "cache.misses");
         return false;
     }
-    if (memory_) {
-        std::string text;
-        {
-            std::lock_guard<std::mutex> lock(mem_mu_);
-            auto it = mem_.find(key);
-            if (it == mem_.end()) {
-                countMiss(false, path, "");
-                return false;
-            }
-            text = it->second.second;
-        }
-        std::string error;
-        if (!decodeUnit(text, out, error)) {
-            {
-                std::lock_guard<std::mutex> lock(mem_mu_);
-                mem_.erase(key);
-            }
-            countMiss(true, path, error);
-            return false;
-        }
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        bytes_read_.fetch_add(text.size(), std::memory_order_relaxed);
-        support::MetricsRegistry& metrics =
-            support::MetricsRegistry::global();
-        if (metrics.enabled()) {
-            metrics.counter("cache.hits").add();
-            metrics.counter("cache.bytes_read").add(text.size());
-        }
-        return true;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        countMiss(false, path, "");
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
-        countMiss(true, path, "read error");
-        return false;
-    }
-    std::string text = buffer.str();
-
     std::string error;
-    if (!decodeUnit(text, out, error)) {
-        countMiss(true, path, error);
-        return false;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_read_.fetch_add(text.size(), std::memory_order_relaxed);
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled()) {
-        metrics.counter("cache.hits").add();
-        metrics.counter("cache.bytes_read").add(text.size());
-    }
+    if (!decodeUnit(text, out, error))
+        return corruptMiss(key, error);
+    bump(hits_, "cache.hits");
+    bump(bytes_read_, "cache.bytes_read", text.size());
     return true;
 }
 
@@ -324,65 +369,23 @@ AnalysisCache::store(std::uint64_t key, const CachedUnit& unit)
 {
     if (readonly_)
         return;
-    const std::string path = entryPath(key);
-    // A failed publish only costs the next run a re-analysis; contain it
-    // here (like the real short-write/rename failures below) so checking
-    // continues undisturbed.
+    // A failed store only costs the next run a re-analysis; contain it
+    // here so checking continues undisturbed.
     try {
         support::fault::probe("cache.store", support::hashHex(key));
     } catch (const support::InjectedFault& f) {
-        warn("cache entry " + path + " not stored (" + f.what() + ")");
+        warn("cache entry " + support::hashHex(key) + " not stored (" +
+             f.what() + ")");
         return;
     }
-    if (memory_) {
-        const std::string text = encodeUnit(unit);
-        std::uint64_t size = text.size();
-        {
-            std::lock_guard<std::mutex> lock(mem_mu_);
-            mem_[key] = {mem_seq_++, std::move(text)};
-        }
-        stores_.fetch_add(1, std::memory_order_relaxed);
-        bytes_written_.fetch_add(size, std::memory_order_relaxed);
-        support::MetricsRegistry& metrics =
-            support::MetricsRegistry::global();
-        if (metrics.enabled()) {
-            metrics.counter("cache.stores").add();
-            metrics.counter("cache.bytes_written").add(size);
-        }
-        return;
-    }
-    const std::string tmp = path + ".tmp";
-    const std::string text = encodeUnit(unit);
+    std::string text = encodeUnit(unit);
+    const std::uint64_t size = text.size();
     {
-        std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-        if (!outf) {
-            warn("cannot write cache entry " + tmp);
-            return;
-        }
-        outf << text;
-        if (!outf.good()) {
-            warn("short write for cache entry " + tmp);
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return;
-        }
+        std::lock_guard<std::mutex> lock(mu_);
+        put(key, std::move(text));
     }
-    // Rename-into-place keeps concurrent readers (and interrupted runs)
-    // from ever observing a partially written entry.
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("cannot publish cache entry " + path + ": " + ec.message());
-        fs::remove(tmp, ec);
-        return;
-    }
-    stores_.fetch_add(1, std::memory_order_relaxed);
-    bytes_written_.fetch_add(text.size(), std::memory_order_relaxed);
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled()) {
-        metrics.counter("cache.stores").add();
-        metrics.counter("cache.bytes_written").add(text.size());
-    }
+    bump(stores_, "cache.stores");
+    bump(bytes_written_, "cache.bytes_written", size);
 }
 
 void
@@ -390,89 +393,98 @@ AnalysisCache::trim(std::uint64_t max_bytes)
 {
     if (readonly_)
         return;
-    if (memory_) {
-        // Oldest-stored entries go first, mirroring the disk tier's
-        // oldest-mtime policy with an exact (not timestamp-granular)
-        // insertion order.
-        support::MetricsRegistry& metrics =
-            support::MetricsRegistry::global();
-        std::lock_guard<std::mutex> lock(mem_mu_);
-        std::uint64_t total = 0;
-        for (const auto& [key, entry] : mem_)
-            total += entry.second.size();
-        while (total > max_bytes && !mem_.empty()) {
-            auto oldest = mem_.begin();
-            for (auto it = mem_.begin(); it != mem_.end(); ++it)
-                if (it->second.first < oldest->second.first)
-                    oldest = it;
-            total -= oldest->second.second.size();
-            mem_.erase(oldest);
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics.enabled())
-                metrics.counter("cache.evictions").add();
-        }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (bytes_ <= max_bytes)
         return;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> order; // seq, key
+    order.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_)
+        order.emplace_back(entry.seq, key);
+    std::sort(order.begin(), order.end());
+    for (const auto& [seq, key] : order) {
+        if (bytes_ <= max_bytes)
+            break;
+        auto it = entries_.find(key);
+        bytes_ -= it->second.text.size();
+        entries_.erase(it);
+        bump(evictions_, "cache.evictions");
     }
-    struct Entry
-    {
-        fs::path path;
-        std::uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> entries;
-    std::uint64_t total = 0;
+    compact_ = true;
+}
+
+bool
+AnalysisCache::writeSegment(const std::string& text, std::string& path)
+{
+    // Creation time first, so name order is age order; pid and a
+    // process-wide sequence keep concurrent writers' names distinct.
+    static std::atomic<std::uint64_t> sequence{0};
+    const auto now = std::chrono::system_clock::now().time_since_epoch();
+    path = dir_ + "/" +
+           support::hashHex(static_cast<std::uint64_t>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(now)
+                   .count())) +
+           "-" + std::to_string(::getpid()) + "-" +
+           std::to_string(sequence.fetch_add(1)) + kSegmentExtension;
+    // Rename-into-place keeps concurrent readers (and interrupted runs)
+    // from ever observing a partially written segment.
+    const std::string tmp = path + ".tmp";
+    const bool written = static_cast<bool>(
+        std::ofstream(tmp, std::ios::binary) << text << std::flush);
     std::error_code ec;
-    // A second process (or thread) may be publishing and evicting
-    // concurrently, so every filesystem step tolerates entries appearing
-    // and vanishing mid-scan: stat failures skip the entry, an iterator
-    // error ends the scan with whatever was collected, and a remove that
-    // loses the race still counts the bytes as gone.
-    fs::directory_iterator it(dir_, ec);
-    if (ec)
+    if (written)
+        fs::rename(tmp, path, ec);
+    if (written && !ec)
+        return true;
+    warn("cannot publish cache segment " + path +
+         (ec ? ": " + ec.message() : ""));
+    fs::remove(tmp, ec);
+    return false;
+}
+
+void
+AnalysisCache::flush()
+{
+    if (dir_.empty() || readonly_)
         return;
-    for (fs::directory_iterator end; it != end; it.increment(ec)) {
-        if (ec)
-            break;
-        const fs::directory_entry& de = *it;
-        if (de.path().extension() != ".mcu")
-            continue;
-        std::error_code sec;
-        std::uint64_t size = de.file_size(sec);
-        if (sec)
-            continue;
-        fs::file_time_type mtime = de.last_write_time(sec);
-        if (sec)
-            continue;
-        entries.push_back({de.path(), size, mtime});
-        total += size;
-    }
-    if (total <= max_bytes)
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool pending = next_seq_ > published_seq_;
+    const bool compact =
+        compact_ || segments_.size() + (pending ? 1 : 0) > kMaxSegments;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> order; // seq, key
+    for (const auto& [key, entry] : entries_)
+        if (compact || entry.seq >= published_seq_)
+            order.emplace_back(entry.seq, key);
+    if (!compact && order.empty())
         return;
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime < b.mtime;
-                  return a.path < b.path;
-              });
+
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    for (const Entry& entry : entries) {
-        if (total <= max_bytes)
-            break;
-        std::error_code rec;
-        bool removed = fs::remove(entry.path, rec);
-        if (removed) {
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics.enabled())
-                metrics.counter("cache.evictions").add();
-        } else if (rec) {
-            // Couldn't remove and it still exists (permissions?): its
-            // bytes remain, keep evicting others.
-            continue;
-        }
-        // Removed by us or already gone (ENOENT race with a concurrent
-        // trimmer): either way those bytes no longer count.
-        total -= entry.size;
+    support::TraceRecorder& tracer = support::TraceRecorder::global();
+    support::ScopedTimer timer(
+        metrics.enabled() ? &metrics.timer("cache.publish") : nullptr);
+    support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                            "cache.publish", "cache");
+    std::sort(order.begin(), order.end());
+    std::string text = segmentHeader(order.size());
+    for (const auto& [seq, key] : order)
+        appendRecord(text, key, entries_.at(key).text);
+    std::string path;
+    if (!order.empty()) {
+        if (!writeSegment(text, path))
+            return;
+        if (metrics.enabled())
+            metrics.counter("cache.files_created").add();
     }
+    if (compact) {
+        std::error_code ec;
+        for (const std::string& old : segments_)
+            fs::remove(old, ec); // another compaction may have won
+        segments_.clear();
+        compact_ = false;
+    }
+    if (!path.empty())
+        segments_.push_back(std::move(path));
+    published_seq_ = next_seq_;
+    span.arg("records", std::to_string(order.size()));
 }
 
 CacheStats
@@ -496,6 +508,58 @@ AnalysisCache::takeWarnings()
     std::vector<std::string> out = std::move(warnings_);
     warnings_.clear();
     return out;
+}
+
+std::string
+AnalysisCache::encodeSegment(const std::vector<SegmentRecord>& records)
+{
+    std::string text = segmentHeader(records.size());
+    for (const SegmentRecord& record : records)
+        appendRecord(text, record.key, record.entry);
+    return text;
+}
+
+std::size_t
+AnalysisCache::decodeSegment(std::string_view text,
+                             std::vector<SegmentRecord>& out,
+                             std::string& error)
+{
+    // Header and frames must be exactly what encodeSegment renders, so
+    // a bit flip in them is a damaged frame rather than a misread.
+    FieldReader r{text};
+    r.line("mccheck-segment", 2);
+    r.num();
+    const long long count = r.num(0);
+    if (!r.ok || std::string(r.raw) + '\n' !=
+                     segmentHeader(static_cast<std::size_t>(count))) {
+        error = "bad segment header";
+        return 1;
+    }
+    std::size_t damaged = 0;
+    for (long long i = 0; i < count; ++i) {
+        r.line("record", 3);
+        const std::uint64_t key = r.hex();
+        const auto size = static_cast<std::size_t>(
+            r.num(0, static_cast<long long>(text.size() - r.pos)));
+        const std::uint64_t sum = r.hex();
+        if (!r.ok || r.raw != frameLine(key, size, sum)) {
+            error = "damaged or truncated record frame";
+            return damaged + 1;
+        }
+        const std::string_view entry = text.substr(r.pos, size);
+        r.pos += size;
+        if (recordSum(key, entry) != sum) {
+            error = "record checksum mismatch";
+            ++damaged;
+            continue;
+        }
+        out.push_back(SegmentRecord{key, std::string(entry)});
+    }
+    if (r.pos != text.size()) {
+        error = "trailing data after the last record";
+        ++damaged;
+    }
+    return damaged;
 }
 
 std::string
@@ -537,181 +601,82 @@ AnalysisCache::decodeUnit(const std::string& text, CachedUnit& out,
     // Verify the checksum over everything before the final "sum " line
     // first: it catches truncation and bit flips in one test and lets the
     // field parser below assume structurally intact input.
-    if (text.empty() || text.back() != '\n') {
-        error = "truncated entry";
-        return false;
-    }
-    std::size_t sum_pos = text.rfind("sum ", text.size() - 1);
-    // The sum line must be the last line and start at a line boundary.
+    const std::size_t sum_pos =
+        text.empty() ? std::string::npos : text.rfind("sum ", text.size() - 1);
     if (sum_pos == std::string::npos ||
-        (sum_pos != 0 && text[sum_pos - 1] != '\n')) {
-        error = "missing checksum";
+        (sum_pos != 0 && text[sum_pos - 1] != '\n') ||
+        text.compare(sum_pos, std::string::npos,
+                     "sum " +
+                         support::hashHex(support::fnv1a(
+                             std::string_view(text).substr(0, sum_pos))) +
+                         "\n") != 0) {
+        error = "truncated entry or checksum mismatch";
         return false;
     }
-    std::string_view sum_line(text.data() + sum_pos,
-                              text.size() - sum_pos - 1);
-    if (text.find('\n', sum_pos) != text.size() - 1) {
-        error = "trailing data after checksum";
-        return false;
-    }
-    std::string body = text.substr(0, sum_pos);
-    std::string expected =
-        "sum " + support::hashHex(support::fnv1a(body));
-    if (std::string(sum_line) != expected) {
-        error = "checksum mismatch";
-        return false;
-    }
-
-    LineCursor cursor{body, 0};
-    std::string_view line;
-
-    if (!cursor.nextLine(line)) {
-        error = "empty entry";
-        return false;
-    }
-    auto header = splitFields(line);
-    long long format = 0;
-    if (header.size() != 3 || header[0] != "mccheck-cache" ||
-        !parseInt(header[1], format)) {
-        error = "bad header";
-        return false;
-    }
-    if (format != kCacheFormatVersion) {
+    FieldReader r{std::string_view(text).substr(0, sum_pos)};
+    r.line("mccheck-cache", 2);
+    const long long format = r.num();
+    if (r.ok && format != kCacheFormatVersion) {
         error = "cache format version mismatch";
         return false;
     }
-    if (header[2] != support::kToolVersion) {
+    if (r.ok && r.fields[2] != support::kToolVersion) {
         error = "tool version mismatch";
         return false;
     }
 
-    auto field_line = [&](std::string_view tag,
-                          std::string& value) -> bool {
-        if (!cursor.nextLine(line))
-            return false;
-        auto fields = splitFields(line);
-        return fields.size() == 2 && fields[0] == tag &&
-               decodeField(fields[1], value);
-    };
-
     out = CachedUnit();
-    if (!field_line("checker", out.checker) ||
-        !field_line("function", out.function)) {
-        error = "bad identity fields";
-        return false;
+    r.line("checker", 1);
+    out.checker = r.str();
+    r.line("function", 1);
+    out.function = r.str();
+    r.line("state", 1);
+    const auto state_size = static_cast<std::size_t>(
+        r.num(0, static_cast<long long>(r.text.size() - r.pos) - 1));
+    if (r.ok) {
+        out.state = r.text.substr(r.pos, state_size);
+        r.pos += state_size;
+        r.ok = r.text[r.pos++] == '\n';
     }
-
-    if (!cursor.nextLine(line)) {
-        error = "missing state";
-        return false;
-    }
-    auto state_fields = splitFields(line);
-    long long state_size = 0;
-    if (state_fields.size() != 2 || state_fields[0] != "state" ||
-        !parseInt(state_fields[1], state_size) || state_size < 0 ||
-        cursor.pos + static_cast<std::size_t>(state_size) + 1 >
-            body.size()) {
-        error = "bad state header";
-        return false;
-    }
-    out.state = body.substr(cursor.pos,
-                            static_cast<std::size_t>(state_size));
-    cursor.pos += static_cast<std::size_t>(state_size);
-    if (cursor.pos >= body.size() || body[cursor.pos] != '\n') {
-        error = "bad state terminator";
-        return false;
-    }
-    ++cursor.pos;
-
-    if (!cursor.nextLine(line)) {
-        error = "missing diags header";
-        return false;
-    }
-    auto diag_header = splitFields(line);
-    long long ndiags = 0;
-    if (diag_header.size() != 2 || diag_header[0] != "diags" ||
-        !parseInt(diag_header[1], ndiags) || ndiags < 0) {
-        error = "bad diags header";
-        return false;
-    }
-    for (long long i = 0; i < ndiags; ++i) {
-        if (!cursor.nextLine(line)) {
-            error = "missing diag line";
-            return false;
-        }
-        auto f = splitFields(line);
-        long long sev = 0, dline = 0, dcol = 0, ntrace = 0;
-        long long nsteps = 0, nblocks = 0, wtrunc = 0;
+    r.line("diags", 1);
+    const long long ndiags = r.num(0);
+    for (long long i = 0; r.ok && i < ndiags; ++i) {
         CachedDiagnostic d;
-        if (f.size() != 12 || f[0] != "diag" || !parseInt(f[1], sev) ||
-            !parseInt(f[2], dline) || !parseInt(f[3], dcol) ||
-            !parseInt(f[4], ntrace) || ntrace < 0 ||
-            !parseInt(f[5], nsteps) || nsteps < 0 ||
-            !parseInt(f[6], nblocks) || nblocks < 0 ||
-            !parseInt(f[7], wtrunc) || wtrunc < 0 || wtrunc > 1 ||
-            sev < 0 || sev > 2 || !decodeField(f[8], d.file) ||
-            !decodeField(f[9], d.checker) || !decodeField(f[10], d.rule) ||
-            !decodeField(f[11], d.message)) {
-            error = "bad diag line";
-            return false;
+        r.line("diag", 11);
+        d.severity = static_cast<int>(r.num(0, 2));
+        d.line = static_cast<int>(r.num());
+        d.column = static_cast<int>(r.num());
+        const long long ntrace = r.num(0);
+        const long long nsteps = r.num(0);
+        const long long nblocks = r.num(0);
+        d.wtruncated = r.num(0, 1) != 0;
+        d.file = r.str();
+        d.checker = r.str();
+        d.rule = r.str();
+        d.message = r.str();
+        for (long long t = 0; r.ok && t < ntrace; ++t) {
+            r.line("trace", 1);
+            d.trace.push_back(r.str());
         }
-        d.severity = static_cast<int>(sev);
-        d.line = static_cast<int>(dline);
-        d.column = static_cast<int>(dcol);
-        d.wtruncated = wtrunc != 0;
-        for (long long t = 0; t < ntrace; ++t) {
-            if (!cursor.nextLine(line)) {
-                error = "missing trace line";
-                return false;
-            }
-            auto tf = splitFields(line);
-            std::string frame;
-            if (tf.size() != 2 || tf[0] != "trace" ||
-                !decodeField(tf[1], frame)) {
-                error = "bad trace line";
-                return false;
-            }
-            d.trace.push_back(std::move(frame));
-        }
-        for (long long s = 0; s < nsteps; ++s) {
-            if (!cursor.nextLine(line)) {
-                error = "missing wstep line";
-                return false;
-            }
-            auto sf = splitFields(line);
-            long long sline = 0, scol = 0;
+        for (long long k = 0; r.ok && k < nsteps; ++k) {
             CachedWitnessStep step;
-            if (sf.size() != 7 || sf[0] != "wstep" ||
-                !parseInt(sf[1], sline) || !parseInt(sf[2], scol) ||
-                !decodeField(sf[3], step.from) ||
-                !decodeField(sf[4], step.to) ||
-                !decodeField(sf[5], step.file) ||
-                !decodeField(sf[6], step.note)) {
-                error = "bad wstep line";
-                return false;
-            }
-            step.line = static_cast<int>(sline);
-            step.column = static_cast<int>(scol);
+            r.line("wstep", 6);
+            step.line = static_cast<int>(r.num());
+            step.column = static_cast<int>(r.num());
+            step.from = r.str();
+            step.to = r.str();
+            step.file = r.str();
+            step.note = r.str();
             d.wsteps.push_back(std::move(step));
         }
-        for (long long b = 0; b < nblocks; ++b) {
-            if (!cursor.nextLine(line)) {
-                error = "missing wblock line";
-                return false;
-            }
-            auto bf = splitFields(line);
-            long long block = 0;
-            if (bf.size() != 2 || bf[0] != "wblock" ||
-                !parseInt(bf[1], block)) {
-                error = "bad wblock line";
-                return false;
-            }
-            d.wblocks.push_back(static_cast<int>(block));
+        for (long long b = 0; r.ok && b < nblocks; ++b) {
+            r.line("wblock", 1);
+            d.wblocks.push_back(static_cast<int>(r.num()));
         }
         out.diags.push_back(std::move(d));
     }
-    if (cursor.pos != body.size()) {
-        error = "trailing data";
+    if (!r.ok || r.pos != r.text.size()) {
+        error = "malformed entry";
         return false;
     }
     return true;
@@ -721,27 +686,21 @@ CachedDiagnostic
 AnalysisCache::toCached(const support::Diagnostic& diag,
                         const support::SourceManager& sm)
 {
-    CachedDiagnostic out;
-    out.severity = static_cast<int>(diag.severity);
-    out.file = sm.fileName(diag.loc.file_id);
-    out.line = diag.loc.line;
-    out.column = diag.loc.column;
-    out.checker = diag.checker;
-    out.rule = diag.rule;
-    out.message = diag.message;
-    out.trace = diag.trace;
-    out.wtruncated = diag.witness.truncated;
-    out.wblocks = diag.witness.blocks;
-    for (const support::WitnessStep& step : diag.witness.steps) {
-        CachedWitnessStep cs;
-        cs.from = step.from_state;
-        cs.to = step.to_state;
-        cs.file = sm.fileName(step.loc.file_id);
-        cs.line = step.loc.line;
-        cs.column = step.loc.column;
-        cs.note = step.note;
-        out.wsteps.push_back(std::move(cs));
-    }
+    CachedDiagnostic out{static_cast<int>(diag.severity),
+                         sm.fileName(diag.loc.file_id),
+                         diag.loc.line,
+                         diag.loc.column,
+                         diag.checker,
+                         diag.rule,
+                         diag.message,
+                         diag.trace,
+                         {},
+                         diag.witness.blocks,
+                         diag.witness.truncated};
+    for (const support::WitnessStep& step : diag.witness.steps)
+        out.wsteps.push_back({step.from_state, step.to_state,
+                              sm.fileName(step.loc.file_id), step.loc.line,
+                              step.loc.column, step.note});
     return out;
 }
 
@@ -764,12 +723,8 @@ AnalysisCache::fromCached(
         auto sit = file_ids.find(cs.file);
         if (sit == file_ids.end())
             return false;
-        support::WitnessStep step;
-        step.from_state = cs.from;
-        step.to_state = cs.to;
-        step.loc = support::SourceLoc{sit->second, cs.line, cs.column};
-        step.note = cs.note;
-        witness.steps.push_back(std::move(step));
+        witness.steps.push_back(
+            {cs.from, cs.to, {sit->second, cs.line, cs.column}, cs.note});
     }
     out.severity = static_cast<support::Severity>(cached.severity);
     out.loc = support::SourceLoc{it->second, cached.line, cached.column};

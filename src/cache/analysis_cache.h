@@ -10,24 +10,22 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::cache {
 
 /**
- * Bump when the on-disk entry layout changes. Folded into every cache
- * key *and* written in each entry header, so a new binary never reads an
- * old layout (key miss) and a tampered header is rejected (load error).
+ * Bump when the entry or segment layout changes. Folded into every
+ * cache key *and* written in each entry and segment header, so a new
+ * binary never reads an old layout (key miss) and a tampered header is
+ * rejected (load error).
  */
 inline constexpr int kCacheFormatVersion = 2;
 
-/**
- * One witness step as stored on disk. Like diagnostic locations, the
- * step's location travels by file *name* and is re-resolved against the
- * current run's SourceManager on replay, so warm-run witnesses are
- * byte-identical to cold ones.
- */
+/** One witness step as stored; its location travels like a
+ *  CachedDiagnostic's, by file name. */
 struct CachedWitnessStep
 {
     std::string from;
@@ -39,10 +37,10 @@ struct CachedWitnessStep
 };
 
 /**
- * One diagnostic as stored on disk. Locations are carried by file *name*
- * rather than the run-local numeric file id: ids depend on registration
- * order inside one process, names are stable across runs. Replay
- * re-resolves names against the current run's SourceManager.
+ * One diagnostic as stored. Locations are carried by file *name*, not
+ * the run-local numeric file id (ids depend on registration order, names
+ * are stable across runs); replay re-resolves them against the current
+ * run's SourceManager, so warm output is byte-identical to cold.
  */
 struct CachedDiagnostic
 {
@@ -88,72 +86,82 @@ struct CacheStats
     std::uint64_t bytes_written = 0;
 };
 
+/** One record of a segment file: an encoded entry under its key. */
+struct SegmentRecord
+{
+    std::uint64_t key = 0;
+    std::string entry;
+    bool operator==(const SegmentRecord&) const = default;
+};
+
 /**
- * Persistent, content-addressed store of per-(function, checker)
- * analysis results.
+ * Content-addressed store of per-(function, checker) analysis results.
  *
- * Entries are keyed by a 64-bit content hash (engine version, checker
- * identity + options + metal source, protocol-spec fingerprint, function
- * token-stream fingerprint — derived by the caller) and live as one text
- * file per key, `<16-hex>.mcu`, under the cache directory. Every entry
- * ends in an FNV-1a checksum line; lookups that find a truncated,
- * version-mismatched, bit-flipped, or otherwise unparsable entry count
- * it as corrupt, record a warning, and report a miss — the caller falls
- * back to cold analysis, never to stale findings.
+ * Keys are 64-bit content hashes (engine version, checker identity +
+ * options + metal source, protocol-spec fingerprint, function
+ * token-stream fingerprint — derived by the caller). The store is one
+ * mutex-guarded map of key -> encoded entry (encodeUnit bytes) in store
+ * order, whatever backs it. Every lookup decodes and validates its
+ * entry; one that fails counts as corrupt, records a warning and
+ * misses, so the caller falls back to cold analysis, never to stale
+ * findings. Stats are atomics; the parallel runner's workers may share
+ * one instance.
  *
- * Thread-safe: lookups and stores touch distinct files per key, stats
- * are atomics, and the warning list is mutex-guarded, so the parallel
- * runner's workers may share one instance.
- *
- * In readonly mode stores are dropped (hit rates still tally), and
- * corrupt entries are left in place for post-mortem instead of being
- * deleted.
+ * A directory-backed cache loads the directory's segment files at open,
+ * and `flush` publishes the entries stored since the last flush as one
+ * new segment (temp file + rename). A segment is a header naming its
+ * record count, then records framed as `record <key> <size> <sum>` +
+ * entry bytes, where the checksum covers key, size and entry: a damaged
+ * record is dropped (counted corrupt), never served under another key,
+ * and a damaged frame ends that segment's load. A flush compacts —
+ * writes the live set as one segment and removes the segments this
+ * instance loaded or published — after a trim evicted, after a load
+ * dropped damage, or past kMaxSegments segments; other runs' segments
+ * are never removed, so concurrent runs accumulate. Readonly mode drops
+ * stores and writes nothing, so damaged segments stay for post-mortem.
  */
 class AnalysisCache
 {
   public:
-    /**
-     * Opens (and unless readonly, creates) `dir`. Throws
-     * std::runtime_error if the directory cannot be created or is not
-     * usable.
-     */
+    /** A directory holding more segments than this is compacted. */
+    static constexpr std::size_t kMaxSegments = 8;
+
+    /** Opens (unless readonly, creates) `dir` and loads its segments;
+     *  throws std::runtime_error if the directory is not usable. */
     explicit AnalysisCache(std::string dir, bool readonly = false);
 
-    /**
-     * A cache with no backing directory: entries live in a mutex-guarded
-     * in-process map, in the exact on-disk encoding (encodeUnit bytes,
-     * checksum line included), so lookups exercise the same decode +
-     * validation path and replay semantics as the persistent store. This
-     * is the resident per-unit result store of the checking daemon —
-     * fingerprint-keyed invalidation with zero filesystem traffic.
-     * `trim` evicts oldest-stored entries first.
-     */
+    /** Flushes whatever is still unpublished (errors are swallowed). */
+    ~AnalysisCache();
+
+    AnalysisCache(const AnalysisCache&) = delete;
+    AnalysisCache& operator=(const AnalysisCache&) = delete;
+
+    /** The same store with no directory (no filesystem traffic). */
     static std::unique_ptr<AnalysisCache> inMemory();
 
+    /** The backing directory; empty for an in-memory cache. */
     const std::string& dir() const { return dir_; }
     bool readonly() const { return readonly_; }
-    bool memoryBacked() const { return memory_; }
 
-    /** Live entries (memory mode: exact; disk mode: a directory scan). */
+    /** Live entries, and their total encoded bytes. */
     std::uint64_t entryCount() const;
-
-    /** Total encoded bytes currently resident (memory mode only). */
     std::uint64_t residentBytes() const;
 
-    /**
-     * Load the entry for `key` into `out`. Returns false (a miss) if the
-     * entry does not exist or fails validation.
-     */
+    /** Load the entry for `key` into `out`; false (a miss) if there is
+     *  none or it fails validation. */
     bool lookup(std::uint64_t key, CachedUnit& out);
 
-    /** Write the entry for `key`; no-op in readonly mode. */
+    /** Insert the entry for `key`; no-op in readonly mode. */
     void store(std::uint64_t key, const CachedUnit& unit);
 
-    /**
-     * Evict least-recently-modified entries until the cache holds at
-     * most `max_bytes` of entry files. 0 evicts everything.
-     */
+    /** Evict oldest-stored entries until the live entries' encodings
+     *  total at most `max_bytes`; 0 evicts everything. */
     void trim(std::uint64_t max_bytes);
+
+    /** Publish the entries stored since the last flush as one segment,
+     *  or compact. No-op without a directory or in readonly mode; after
+     *  a failed write (a warning) the entries stay pending. */
+    void flush();
 
     /** Point-in-time copy of the tallies. */
     CacheStats stats() const;
@@ -161,12 +169,9 @@ class AnalysisCache
     /** Drain accumulated warnings (corrupt entries, I/O failures). */
     std::vector<std::string> takeWarnings();
 
-    /** On-disk path for a key (exposed for tests' corruption harness). */
-    std::string entryPath(std::uint64_t key) const;
+    // ---- serialization (public for tests, the fuzzers and the bench) --
 
-    // ---- serialization (public for tests and the bench) ---------------
-
-    /** Render `unit` in the on-disk format, checksum line included. */
+    /** Render `unit` in the entry format, checksum line included. */
     static std::string encodeUnit(const CachedUnit& unit);
 
     /**
@@ -176,6 +181,17 @@ class AnalysisCache
      */
     static bool decodeUnit(const std::string& text, CachedUnit& out,
                            std::string& error);
+
+    /** Render `records` as one segment file. */
+    static std::string
+    encodeSegment(const std::vector<SegmentRecord>& records);
+
+    /** Append segment `text`'s intact records to `out`, in file order;
+     *  returns how many damaged records or frames it dropped, with the
+     *  last reason in `error`. */
+    static std::size_t decodeSegment(std::string_view text,
+                                     std::vector<SegmentRecord>& out,
+                                     std::string& error);
 
     /** Strip a Diagnostic down to its storable form. */
     static CachedDiagnostic
@@ -198,23 +214,33 @@ class AnalysisCache
     fileIdsByName(const support::SourceManager& sm);
 
   private:
-    struct MemoryTag
+    struct Entry
     {
+        /** Store order: loaded segments first, oldest first. */
+        std::uint64_t seq = 0;
+        std::string text;
     };
-    explicit AnalysisCache(MemoryTag);
 
+    AnalysisCache() = default;
+    void load();
+    void put(std::uint64_t key, std::string text);
+    bool corruptMiss(std::uint64_t key, const std::string& reason);
+    bool writeSegment(const std::string& text, std::string& path);
     void warn(std::string message);
-    void countMiss(bool corrupt_entry, const std::string& path,
-                   const std::string& reason);
 
     std::string dir_;
     bool readonly_ = false;
-    bool memory_ = false;
 
-    /** Memory-mode store: key -> (insertion sequence, encoded entry). */
-    mutable std::mutex mem_mu_;
-    std::map<std::uint64_t, std::pair<std::uint64_t, std::string>> mem_;
-    std::uint64_t mem_seq_ = 0;
+    /** Guards everything below. */
+    mutable std::mutex mu_;
+    std::unordered_map<std::uint64_t, Entry> entries_;
+    std::uint64_t bytes_ = 0;
+    std::uint64_t next_seq_ = 0;
+    /** Entries with seq >= this are not yet in any segment. */
+    std::uint64_t published_seq_ = 0;
+    /** Segments this instance loaded or published: compaction's to remove. */
+    std::vector<std::string> segments_;
+    bool compact_ = false;
 
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};

@@ -53,18 +53,16 @@ runGrid(const UnitGrid& grid, support::DiagnosticSink& sink,
             metrics.counter("parallel.cfg_reused").add(cfg_reused.load());
     }
 
-    cache::AnalysisCache* cache = options.cache;
     pool.parallelFor(grid.size(), [&](std::size_t u) {
         if (results[u].hit)
             return;
         results[u] = runUnit(grid, u, cfgs, options.unit_budget);
-        if (cache && !cache->readonly() && keys[u] != 0 &&
-            storable(results[u]))
-            cache->store(keys[u], cachedUnit(grid, u, results[u]));
+        storeUnit(grid, u, options.cache, keys[u], results[u]);
     });
 
     return mergeUnits(grid, results, sink,
-                      {cache != nullptr, options.fail_fast, options.health});
+                      {options.cache != nullptr, options.fail_fast,
+                       options.health});
 }
 
 std::vector<CheckerRunStats>

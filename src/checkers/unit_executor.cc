@@ -246,6 +246,16 @@ lookupUnits(const UnitGrid& grid, cache::AnalysisCache* cache,
 }
 
 void
+storeUnit(const UnitGrid& grid, std::size_t u, cache::AnalysisCache* cache,
+          std::uint64_t key, const UnitResult& result,
+          const cache::CachedUnit* stored)
+{
+    if (!cache || cache->readonly() || key == 0 || !storable(result))
+        return;
+    cache->store(key, stored ? *stored : cachedUnit(grid, u, result));
+}
+
+void
 registerUnitMetrics()
 {
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();

@@ -206,6 +206,17 @@ std::vector<std::uint64_t> lookupUnits(const UnitGrid& grid,
                                        std::vector<UnitResult>& results);
 
 /**
+ * Cache phase's other half: store finished unit `u` under `key` when
+ * the cache is writable, the unit has a key (non-zero) and it is
+ * storable. `stored` is its storable form when the caller already holds
+ * one (a shard worker's payload); otherwise it is built from `result`.
+ */
+void storeUnit(const UnitGrid& grid, std::size_t u,
+               cache::AnalysisCache* cache, std::uint64_t key,
+               const UnitResult& result,
+               const cache::CachedUnit* stored = nullptr);
+
+/**
  * Pre-register the unit-level counters and histograms so a report's
  * zeros are statements, not omissions — and so the registry nodes exist
  * before units fan out, keeping first-use registration off the workers.

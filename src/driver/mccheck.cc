@@ -140,8 +140,9 @@ const char* const kUsage =
     "                              byte-identical for any --jobs value,\n"
     "                              warm or cold cache\n"
     "  --cache-readonly            read the cache but never write it\n"
+    "                              (needs --cache)\n"
     "  --cache-limit-mb <n>        evict oldest cache entries beyond n\n"
-    "                              MiB after the run\n"
+    "                              MiB after the run (needs --cache)\n"
     "  --unit-timeout-ms <n>       wall-clock budget per (function,\n"
     "                              checker) unit; exhausted units are\n"
     "                              truncated, not killed\n"
@@ -492,6 +493,10 @@ parseArgs(const std::vector<std::string>& args, CliOptions& out)
             out.files.push_back(arg);
         }
     }
+    if (out.cache_dir.empty() && out.cache_readonly)
+        return usageError("--cache-readonly needs --cache");
+    if (out.cache_dir.empty() && out.cache_limit_mb > 0)
+        return usageError("--cache-limit-mb needs --cache");
     return -1;
 }
 
@@ -765,6 +770,7 @@ main(int argc, char** argv)
         if (cache) {
             if (opts.cache_limit_mb > 0)
                 cache->trim(opts.cache_limit_mb * 1024ull * 1024ull);
+            cache->flush();
             for (const std::string& warning : cache->takeWarnings())
                 std::cerr << "mccheck: cache: " << warning << '\n';
             const cache::CacheStats cs = cache->stats();

@@ -71,6 +71,7 @@ const char* const kUsage =
     "  --cache <dir>            persistent analysis cache directory\n"
     "                           (default: in-memory, process lifetime)\n"
     "  --cache-readonly         read the cache but never write it\n"
+    "                           (needs --cache)\n"
     "  --cache-limit-mb <n>     evict oldest entries past n MiB after\n"
     "                           each check request\n"
     "  --ledger <out.jsonl>     append request + unit events (see\n"
@@ -236,6 +237,10 @@ parseArgs(const std::vector<std::string>& args, DaemonCli& out)
             return usageError("unknown option '" + arg + "'");
         }
     }
+    // --cache-limit-mb also trims the in-memory store; readonly needs a
+    // directory to keep.
+    if (out.options.cache_dir.empty() && out.options.cache_readonly)
+        return usageError("--cache-readonly needs --cache");
     return -1;
 }
 

@@ -50,18 +50,13 @@ takeString(const JsonValue* params, const std::string& key,
 
 } // namespace
 
-Daemon::Daemon(DaemonOptions options) : options_(std::move(options))
-{
-    if (!options_.cache_dir.empty())
-        disk_cache_ = std::make_unique<cache::AnalysisCache>(
-            options_.cache_dir, options_.cache_readonly);
-}
-
-cache::AnalysisCache&
-Daemon::cache()
-{
-    return disk_cache_ ? *disk_cache_ : resident_.memoryCache();
-}
+Daemon::Daemon(DaemonOptions options)
+    : options_(std::move(options)),
+      cache_(options_.cache_dir.empty()
+                 ? cache::AnalysisCache::inMemory()
+                 : std::make_unique<cache::AnalysisCache>(
+                       options_.cache_dir, options_.cache_readonly))
+{}
 
 void
 Daemon::finishRequest(const support::LedgerRequestEvent& event)
@@ -265,13 +260,14 @@ Daemon::handleCheck(const JsonValue* params,
     std::ostringstream out;
     std::ostringstream err;
     const CheckOutcome outcome =
-        runCheckRequest(request, &cache(), &resident_, out, err);
+        runCheckRequest(request, cache_.get(), &resident_, out, err);
     const double wall_ms = millisSince(t0);
 
     if (options_.cache_limit_mb > 0)
-        cache().trim(options_.cache_limit_mb * 1024ull * 1024ull);
+        cache_->trim(options_.cache_limit_mb * 1024ull * 1024ull);
+    cache_->flush();
     std::string stderr_text = err.str();
-    for (const std::string& warning : cache().takeWarnings())
+    for (const std::string& warning : cache_->takeWarnings())
         stderr_text += "mccheck: cache: " + warning + "\n";
 
     event.status = "ok";
@@ -419,15 +415,13 @@ Daemon::statusResult()
     resident.set("arena_waste_bytes",
                  uintNumber(resident_.arenaWasteBytes()));
 
-    cache::AnalysisCache& store = cache();
-    const cache::CacheStats cs = store.stats();
+    const cache::CacheStats cs = cache_->stats();
     JsonValue cache_info = JsonValue::object();
-    cache_info.set("memory", JsonValue::boolean(store.memoryBacked()));
-    cache_info.set("dir", JsonValue::string(store.dir()));
-    cache_info.set("readonly", JsonValue::boolean(store.readonly()));
-    cache_info.set("entries", uintNumber(store.entryCount()));
-    if (store.memoryBacked())
-        cache_info.set("resident_bytes", uintNumber(store.residentBytes()));
+    cache_info.set("memory", JsonValue::boolean(cache_->dir().empty()));
+    cache_info.set("dir", JsonValue::string(cache_->dir()));
+    cache_info.set("readonly", JsonValue::boolean(cache_->readonly()));
+    cache_info.set("entries", uintNumber(cache_->entryCount()));
+    cache_info.set("resident_bytes", uintNumber(cache_->residentBytes()));
     cache_info.set("hits", uintNumber(cs.hits));
     cache_info.set("misses", uintNumber(cs.misses));
     cache_info.set("stores", uintNumber(cs.stores));

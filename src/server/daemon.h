@@ -22,10 +22,11 @@ struct DaemonOptions
 {
     /**
      * Persistent analysis cache directory. Empty means per-unit results
-     * live in the resident in-memory cache instead — still
-     * fingerprint-keyed, still byte-neutral, just process-lifetime.
+     * live in an in-memory cache instead — still fingerprint-keyed,
+     * still byte-neutral, just process-lifetime.
      */
     std::string cache_dir;
+    /** Never write `cache_dir` (ignored without one). */
     bool cache_readonly = false;
     /** Cache cap in MiB, enforced after each check request; 0 = off. */
     unsigned long cache_limit_mb = 0;
@@ -95,8 +96,10 @@ class Daemon
         shutdown_.store(true, std::memory_order_release);
     }
 
-    /** The cache check requests run against (disk or resident). */
-    cache::AnalysisCache& cache();
+    /** The one cache check requests run against: directory-backed
+     *  with `cache_dir`, in-memory without. Published after each check
+     *  request. */
+    cache::AnalysisCache& cache() { return *cache_; }
 
     /** Test access; synchronize externally (or use protocol requests). */
     ResidentState& resident() { return resident_; }
@@ -123,7 +126,7 @@ class Daemon
     void finishRequest(const support::LedgerRequestEvent& event);
 
     DaemonOptions options_;
-    std::unique_ptr<cache::AnalysisCache> disk_cache_;
+    std::unique_ptr<cache::AnalysisCache> cache_;
     ResidentState resident_;
 
     /** Serializes request execution (see class comment). */

@@ -86,10 +86,6 @@ readDiskFile(const std::string& path, std::string& contents,
     return true;
 }
 
-ResidentState::ResidentState()
-    : memory_cache_(cache::AnalysisCache::inMemory())
-{}
-
 void
 ResidentState::openDocument(const std::string& path, std::string text)
 {

@@ -1,7 +1,6 @@
 #ifndef MCHECK_SERVER_RESIDENT_H
 #define MCHECK_SERVER_RESIDENT_H
 
-#include "cache/analysis_cache.h"
 #include "checkers/parallel.h"
 #include "corpus/generator.h"
 #include "lang/program.h"
@@ -64,10 +63,10 @@ struct PreparedProgram
  *  1. Process globals (symbol interner, compiled SM transition tables,
  *     registered metric nodes) are resident for free — they live for
  *     the process regardless.
- *  2. Per-unit analysis results live in `memoryCache` (or the disk
- *     cache the daemon was pointed at), keyed by token-stream
- *     fingerprints: an edited file invalidates exactly its own
- *     functions' entries.
+ *  2. Per-unit analysis results live in the daemon's one AnalysisCache
+ *     (directory-backed with --cache, in-memory without), keyed by
+ *     token-stream fingerprints: an edited file invalidates exactly its
+ *     own functions' entries.
  *  3. Parsed programs + their CFGs live in snapshots keyed by the
  *     *ordered file list*. A request over the same file set reuses the
  *     snapshot; files whose content hash changed re-parse in place
@@ -87,8 +86,6 @@ struct PreparedProgram
 class ResidentState
 {
   public:
-    ResidentState();
-
     // ---- document overlays (open/change/close) ------------------------
 
     /** Insert or replace the overlay for `path`. */
@@ -101,11 +98,6 @@ class ResidentState
     /** Overlay-first reader (falls back to disk). */
     bool readFile(const std::string& path, std::string& contents,
                   std::string& error) const;
-
-    // ---- resident per-unit results ------------------------------------
-
-    /** The in-memory analysis cache (used when no disk cache is set). */
-    cache::AnalysisCache& memoryCache() { return *memory_cache_; }
 
     // ---- program snapshots --------------------------------------------
 
@@ -169,7 +161,6 @@ class ResidentState
     FileSnapshot* findSnapshot(const std::vector<std::string>& files);
 
     std::map<std::string, std::string> documents_;
-    std::unique_ptr<cache::AnalysisCache> memory_cache_;
     std::vector<FileSnapshot> snapshots_;
     std::map<std::string, ProtocolSnapshot> protocols_;
     std::map<std::uint64_t, metal::MetalProgram> metal_;

@@ -119,9 +119,8 @@ runCheckersSharded(const lang::Program& program,
                 throw std::runtime_error(
                     "shard worker returned an unreplayable result for '" +
                     grid.label(u) + "'");
-            if (cache && !cache->readonly() && keys[u] != 0 &&
-                checkers::storable(results[u]))
-                cache->store(keys[u], *payloads[u]);
+            checkers::storeUnit(grid, u, cache, keys[u], results[u],
+                                &*payloads[u]);
         } else if (!results[u].checker) {
             throw std::runtime_error("shard run left unit '" +
                                      grid.label(u) + "' unresolved");

@@ -1,10 +1,11 @@
 /**
  * @file
- * Analysis-cache tests: on-disk round-trips, the corruption contract
- * (truncated / version-mismatched / bit-flipped entries fall back to
- * cold analysis with a warning — never a crash, never stale findings),
- * fingerprint sensitivity, eviction, and warm-vs-cold byte-identity of
- * the full checking pipeline.
+ * Analysis-cache tests: entry and segment round-trips, the corruption
+ * contract (truncated / version-mismatched / bit-flipped entries and
+ * segments fall back to cold analysis with a warning — never a crash,
+ * never stale findings), publishing and compaction beside concurrent
+ * runs, fingerprint sensitivity, eviction, and warm-vs-cold
+ * byte-identity of the full checking pipeline.
  */
 #include "cache/analysis_cache.h"
 #include "checkers/parallel.h"
@@ -19,9 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -201,6 +202,53 @@ TEST(CacheEncoding, RejectsFormatAndToolVersionMismatch)
     (void)header;
 }
 
+std::string
+readFile(const fs::path& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+void
+writeFile(const fs::path& path, const std::string& text)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/** Every file in `dir`: the cache keeps nothing there but segments. */
+std::vector<fs::path>
+cacheFiles(const std::string& dir)
+{
+    std::vector<fs::path> out;
+    for (const auto& entry : fs::directory_iterator(dir))
+        out.push_back(entry.path());
+    return out;
+}
+
+fs::path
+onlySegment(const std::string& dir)
+{
+    std::vector<fs::path> files = cacheFiles(dir);
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? fs::path() : files[0];
+}
+
+TEST(CacheSegment, RoundTripsRecordsExactly)
+{
+    std::vector<SegmentRecord> records = {
+        {1, AnalysisCache::encodeUnit(sampleUnit())},
+        {0xfedcba9876543210u, ""},
+        {3, "not an entry at all\n"}};
+    const std::string text = AnalysisCache::encodeSegment(records);
+    std::vector<SegmentRecord> decoded;
+    std::string error;
+    EXPECT_EQ(AnalysisCache::decodeSegment(text, decoded, error), 0u)
+        << error;
+    EXPECT_EQ(decoded, records);
+}
+
 TEST(CacheStore, PersistsAcrossInstances)
 {
     TempCacheDir dir("persist");
@@ -209,7 +257,8 @@ TEST(CacheStore, PersistsAcrossInstances)
         AnalysisCache cache(dir.str());
         cache.store(42, unit);
         EXPECT_EQ(cache.stats().stores, 1u);
-    }
+    } // the destructor publishes
+    EXPECT_EQ(cacheFiles(dir.str()).size(), 1u);
     AnalysisCache cache(dir.str());
     CachedUnit loaded;
     ASSERT_TRUE(cache.lookup(42, loaded));
@@ -225,37 +274,32 @@ TEST(CacheStore, PersistsAcrossInstances)
 TEST(CacheStore, TruncatedEntryFallsBackColdAndIsDeleted)
 {
     TempCacheDir dir("truncated");
-    AnalysisCache cache(dir.str());
-    cache.store(7, sampleUnit());
-    std::string path = cache.entryPath(7);
-    fs::resize_file(path, 20);
+    AnalysisCache(dir.str()).store(7, sampleUnit());
+    const fs::path path = onlySegment(dir.str());
+    fs::resize_file(path, fs::file_size(path) / 2);
 
+    AnalysisCache cache(dir.str());
     CachedUnit loaded;
     EXPECT_FALSE(cache.lookup(7, loaded));
     EXPECT_EQ(cache.stats().corrupt, 1u);
     std::vector<std::string> warnings = cache.takeWarnings();
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_NE(warnings[0].find("unusable"), std::string::npos);
-    // Read-write mode deletes the corpse so the next store is clean.
+    // Read-write mode compacts the corpse away on the next publish.
+    cache.flush();
     EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(CacheStore, BitFlippedEntryFallsBackCold)
 {
     TempCacheDir dir("bitflip");
-    AnalysisCache cache(dir.str());
-    cache.store(9, sampleUnit());
-    std::string path = cache.entryPath(9);
-    std::string text;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-    }
+    AnalysisCache(dir.str()).store(9, sampleUnit());
+    const fs::path path = onlySegment(dir.str());
+    std::string text = readFile(path);
     text[text.size() / 2] = static_cast<char>(text[text.size() / 2] ^ 1);
-    std::ofstream(path, std::ios::binary) << text;
+    writeFile(path, text);
 
+    AnalysisCache cache(dir.str());
     CachedUnit loaded;
     EXPECT_FALSE(cache.lookup(9, loaded));
     EXPECT_EQ(cache.stats().corrupt, 1u);
@@ -265,20 +309,24 @@ TEST(CacheStore, BitFlippedEntryFallsBackCold)
 TEST(CacheStore, ReadonlyDropsStoresAndKeepsCorpses)
 {
     TempCacheDir dir("readonly");
+    AnalysisCache(dir.str()).store(1, sampleUnit());
+    const fs::path path = onlySegment(dir.str());
+    const std::uintmax_t size = fs::file_size(path) / 2;
+    fs::resize_file(path, size);
     {
-        AnalysisCache rw(dir.str());
-        rw.store(1, sampleUnit());
-        fs::resize_file(rw.entryPath(1), 10);
+        AnalysisCache ro(dir.str(), /*readonly=*/true);
+        EXPECT_TRUE(ro.readonly());
+        CachedUnit loaded;
+        EXPECT_FALSE(ro.lookup(1, loaded));
+        EXPECT_EQ(ro.stats().corrupt, 1u);
+        ro.store(2, sampleUnit());
+        EXPECT_EQ(ro.stats().stores, 0u);
+        ro.flush();
     }
-    AnalysisCache ro(dir.str(), /*readonly=*/true);
-    EXPECT_TRUE(ro.readonly());
-    CachedUnit loaded;
-    EXPECT_FALSE(ro.lookup(1, loaded));
-    // The corrupt entry stays on disk for post-mortem in readonly mode.
-    EXPECT_TRUE(fs::exists(ro.entryPath(1)));
-    ro.store(2, sampleUnit());
-    EXPECT_EQ(ro.stats().stores, 0u);
-    EXPECT_FALSE(fs::exists(ro.entryPath(2)));
+    // The damaged segment stays on disk for post-mortem, and nothing
+    // was written beside it.
+    EXPECT_EQ(cacheFiles(dir.str()), std::vector<fs::path>{path});
+    EXPECT_EQ(fs::file_size(path), size);
 }
 
 TEST(CacheStore, MissingReadonlyDirectoryThrows)
@@ -294,65 +342,158 @@ TEST(CacheStore, TrimEvictsOldestEntriesFirst)
     AnalysisCache cache(dir.str());
     for (std::uint64_t key = 1; key <= 3; ++key)
         cache.store(key, sampleUnit());
-    // Age the entries explicitly — filesystem mtime granularity is too
-    // coarse to rely on store order.
-    auto now = fs::last_write_time(cache.entryPath(3));
-    fs::last_write_time(cache.entryPath(1), now - std::chrono::hours(2));
-    fs::last_write_time(cache.entryPath(2), now - std::chrono::hours(1));
-
-    std::uintmax_t one_entry = fs::file_size(cache.entryPath(3));
+    const std::uint64_t one_entry = cache.residentBytes() / 3;
     cache.trim(2 * one_entry);
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_FALSE(fs::exists(cache.entryPath(1)));
-    EXPECT_TRUE(fs::exists(cache.entryPath(2)));
-    EXPECT_TRUE(fs::exists(cache.entryPath(3)));
+    cache.flush();
+    {
+        AnalysisCache reopened(dir.str(), /*readonly=*/true);
+        CachedUnit loaded;
+        EXPECT_FALSE(reopened.lookup(1, loaded));
+        EXPECT_TRUE(reopened.lookup(2, loaded));
+        EXPECT_TRUE(reopened.lookup(3, loaded));
+    }
 
     cache.trim(0);
     EXPECT_EQ(cache.stats().evictions, 3u);
-    EXPECT_FALSE(fs::exists(cache.entryPath(2)));
-    EXPECT_FALSE(fs::exists(cache.entryPath(3)));
+    cache.flush();
+    EXPECT_TRUE(cacheFiles(dir.str()).empty());
 }
 
-TEST(CacheStore, TrimToleratesConcurrentPublisher)
+TEST(CacheStore, FlushPublishesOneSegmentAndCompactsPastTheCap)
 {
-    // Regression: trim scans the directory, then stats and removes the
-    // entries it saw. A second process (or thread) publishing and
-    // re-publishing entries in that window makes files appear, change
-    // size, and vanish mid-scan; every filesystem call in trim must
-    // tolerate that instead of throwing or double-counting evictions.
-    TempCacheDir dir("trim_race");
-    AnalysisCache writer(dir.str());
-    AnalysisCache trimmer(dir.str());
-
-    std::atomic<bool> done{false};
-    std::thread publisher([&] {
-        for (std::uint64_t round = 0; round < 50; ++round)
-            for (std::uint64_t key = 1; key <= 20; ++key)
-                writer.store(key, sampleUnit());
-        done.store(true);
-    });
-
-    while (!done.load())
-        trimmer.trim(1); // 1 byte: try to evict everything it sees
-    publisher.join();
-    trimmer.trim(1);
-
-    // No exception escaped, and the survivors are decodable (trim never
-    // removes half a file — entries are published by rename).
-    std::uint64_t decodable = 0;
-    for (const auto& entry : fs::directory_iterator(dir.str())) {
-        std::ifstream in(entry.path(), std::ios::binary);
-        std::ostringstream os;
-        os << in.rdbuf();
-        CachedUnit unit;
-        std::string error;
-        if (AnalysisCache::decodeUnit(os.str(), unit, error))
-            ++decodable;
-        else
-            ADD_FAILURE() << "undecodable survivor " << entry.path()
-                          << ": " << error;
+    TempCacheDir dir("compact");
+    AnalysisCache cache(dir.str());
+    cache.flush(); // nothing stored: nothing written
+    EXPECT_TRUE(cacheFiles(dir.str()).empty());
+    for (std::uint64_t key = 1; key <= AnalysisCache::kMaxSegments; ++key) {
+        cache.store(key, sampleUnit());
+        cache.flush();
+        EXPECT_EQ(cacheFiles(dir.str()).size(), key);
     }
-    (void)decodable;
+    // A warm run over a full directory leaves it alone...
+    AnalysisCache(dir.str()).flush();
+    EXPECT_EQ(cacheFiles(dir.str()).size(), AnalysisCache::kMaxSegments);
+    // ...and one more segment would pass the cap, so the live set is
+    // rewritten as one.
+    cache.store(100, sampleUnit());
+    cache.flush();
+    EXPECT_EQ(cacheFiles(dir.str()).size(), 1u);
+    AnalysisCache reopened(dir.str());
+    EXPECT_EQ(reopened.entryCount(), AnalysisCache::kMaxSegments + 1);
+}
+
+TEST(CacheStore, SegmentDamageNeverServesAnotherUnit)
+{
+    // Every truncation and every single-bit flip of a 3-record segment:
+    // each lookup returns exactly the unit stored under its key, or
+    // misses with the damage counted corrupt.
+    TempCacheDir dir("segment_damage");
+    std::map<std::uint64_t, CachedUnit> units;
+    for (std::uint64_t key : {11u, 22u, 33u}) {
+        units[key] = sampleUnit();
+        units[key].function = "fn" + std::to_string(key);
+    }
+    {
+        AnalysisCache cache(dir.str());
+        for (const auto& [key, unit] : units)
+            cache.store(key, unit);
+    }
+    const fs::path path = onlySegment(dir.str());
+    const std::string text = readFile(path);
+
+    auto check = [&](const std::string& damaged, const std::string& what) {
+        writeFile(path, damaged);
+        AnalysisCache cache(dir.str(), /*readonly=*/true);
+        for (const auto& [key, unit] : units) {
+            CachedUnit loaded;
+            if (cache.lookup(key, loaded))
+                EXPECT_EQ(AnalysisCache::encodeUnit(loaded),
+                          AnalysisCache::encodeUnit(unit))
+                    << what;
+            else
+                EXPECT_GT(cache.stats().corrupt, 0u) << what;
+        }
+    };
+    for (std::size_t len = 0; len < text.size(); ++len)
+        check(text.substr(0, len), "prefix " + std::to_string(len));
+    for (std::size_t i = 0; i < text.size(); ++i)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = text;
+            flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+            check(flipped, "flip byte " + std::to_string(i) + " bit " +
+                               std::to_string(bit));
+        }
+}
+
+/** Store `keys`, flushing every `batch` stores. */
+void
+publishKeys(const std::string& dir, std::uint64_t first, std::uint64_t n,
+            std::uint64_t batch)
+{
+    AnalysisCache cache(dir);
+    for (std::uint64_t key = first; key < first + n; ++key) {
+        cache.store(key, sampleUnit());
+        if ((key - first) % batch == batch - 1)
+            cache.flush();
+    }
+}
+
+TEST(CacheStore, ConcurrentPublishersKeepEveryEntry)
+{
+    // Two runs on one directory, each compacting its own segments past
+    // the cap: neither may remove what the other published.
+    TempCacheDir dir("concurrent");
+    std::thread a(publishKeys, dir.str(), 1000, 60, 3);
+    std::thread b(publishKeys, dir.str(), 2000, 60, 2);
+    a.join();
+    b.join();
+
+    AnalysisCache cache(dir.str());
+    CachedUnit loaded;
+    for (std::uint64_t first : {1000u, 2000u})
+        for (std::uint64_t key = first; key < first + 60; ++key)
+            EXPECT_TRUE(cache.lookup(key, loaded)) << key;
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+}
+
+TEST(CacheStore, TrimBesideConcurrentPublishersNeverThrows)
+{
+    TempCacheDir dir("trim_race");
+    std::atomic<bool> done{false};
+    std::thread trimmer([&] {
+        while (!done.load()) {
+            try {
+                AnalysisCache cache(dir.str());
+                cache.trim(1); // evict everything it loaded
+                cache.flush();
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "trim threw: " << e.what();
+            }
+        }
+    });
+    std::thread a(publishKeys, dir.str(), 1000, 120, 1);
+    std::thread b(publishKeys, dir.str(), 2000, 120, 2);
+    a.join();
+    b.join();
+    done.store(true);
+    trimmer.join();
+
+    // Segments are published by rename: every survivor is whole, and
+    // every record in it decodes.
+    for (const fs::path& path : cacheFiles(dir.str())) {
+        std::vector<SegmentRecord> records;
+        std::string error;
+        EXPECT_EQ(AnalysisCache::decodeSegment(readFile(path), records,
+                                               error),
+                  0u)
+            << path << ": " << error;
+        for (const SegmentRecord& record : records) {
+            CachedUnit unit;
+            EXPECT_TRUE(AnalysisCache::decodeUnit(record.entry, unit, error))
+                << path << ": " << error;
+        }
+    }
 }
 
 // ---- fingerprint sensitivity ------------------------------------------
@@ -450,6 +591,7 @@ TEST(CachePipeline, WarmRunReplaysByteIdentical)
     PipelineResult cold = runPipeline(loaded, &cold_cache, 2);
     EXPECT_GT(cold_cache.stats().stores, 0u);
     EXPECT_EQ(cold_cache.stats().hits, 0u);
+    cold_cache.flush();
 
     AnalysisCache warm_cache(dir.str());
     PipelineResult warm = runPipeline(loaded, &warm_cache, 2);
@@ -482,6 +624,7 @@ TEST(CachePipeline, WitnessSurvivesWarmReplayByteIdentical)
     AnalysisCache cold_cache(dir.str());
     PipelineResult cold = runPipeline(loaded, &cold_cache, 2);
     EXPECT_GT(cold_cache.stats().stores, 0u);
+    cold_cache.flush();
 
     AnalysisCache warm_cache(dir.str());
     PipelineResult warm = runPipeline(loaded, &warm_cache, 2);
@@ -504,17 +647,26 @@ TEST(CachePipeline, CorruptedEntriesReanalyzeNotReplay)
 
     AnalysisCache cold_cache(dir.str());
     PipelineResult cold = runPipeline(loaded, &cold_cache, 2);
+    cold_cache.flush();
 
-    // Corrupt every third entry on disk; the warm run must notice each
-    // one, re-analyze those units, and still produce identical bytes.
+    // Corrupt every third record of the segment, inside its entry bytes;
+    // the warm run must notice each one, re-analyze those units, and
+    // still produce identical bytes.
+    const fs::path path = onlySegment(dir.str());
+    std::string text = readFile(path);
+    std::vector<SegmentRecord> records;
+    std::string error;
+    ASSERT_EQ(AnalysisCache::decodeSegment(text, records, error), 0u);
     std::size_t mangled = 0;
-    std::size_t index = 0;
-    for (const auto& e : fs::directory_iterator(dir.str()))
-        if (e.path().extension() == ".mcu" && index++ % 3 == 0) {
-            fs::resize_file(e.path(), fs::file_size(e.path()) / 2);
-            ++mangled;
-        }
+    for (std::size_t i = 0; i < records.size(); i += 3) {
+        const std::size_t at = text.find(records[i].entry);
+        ASSERT_NE(at, std::string::npos);
+        char& c = text[at + records[i].entry.size() / 2];
+        c = static_cast<char>(c ^ 1);
+        ++mangled;
+    }
     ASSERT_GT(mangled, 0u);
+    writeFile(path, text);
 
     AnalysisCache warm_cache(dir.str());
     PipelineResult warm = runPipeline(loaded, &warm_cache, 2);

@@ -141,6 +141,7 @@ TEST(PruneProperty, EachStrategyIsDeterministicAcrossJobsAndCache)
         Checked j4 = checkProtocol(loaded, strategy, 4, nullptr);
         EXPECT_EQ(j1.json, j4.json) << label << ": jobs changed bytes";
         checkProtocol(loaded, strategy, 1, &fill); // cold fill
+        fill.flush();
         cache::AnalysisCache warm(cache_root.string());
         Checked cached = checkProtocol(loaded, strategy, 4, &warm);
         EXPECT_GT(warm.stats().hits, 0u) << label;

@@ -481,6 +481,7 @@ TEST_P(GeneratedCorpus, ColdAndWarmPipelinesProduceIdenticalBytes)
     cache::AnalysisCache cold(dir.string());
     EXPECT_EQ(run(&cold), uncached);
     EXPECT_GT(cold.stats().stores, 0u);
+    cold.flush();
     cache::AnalysisCache warm(dir.string());
     EXPECT_EQ(run(&warm), uncached);
     EXPECT_GT(warm.stats().hits, 0u);

@@ -11,6 +11,7 @@
  */
 #include "server/daemon.h"
 
+#include "cache/analysis_cache.h"
 #include "corpus/generator.h"
 #include "corpus/profile.h"
 #include "server/check_request.h"
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <sstream>
@@ -248,6 +250,63 @@ TEST(DaemonProperty, UnchangedRecheckReusesEverything)
     EXPECT_GT(stats->get("units_total")->asInt(), 0);
     EXPECT_EQ(stats->get("units_reused")->asInt(),
               stats->get("units_total")->asInt());
+}
+
+/** One daemon protocol check; returns the response's result. */
+JsonValue
+daemonProtocolCheck(Daemon& daemon, const std::string& protocol)
+{
+    JsonValue request = JsonValue::object();
+    request.set("method", JsonValue::string("check"));
+    JsonValue params = JsonValue::object();
+    params.set("protocol", JsonValue::string(protocol));
+    params.set("format", JsonValue::string("json"));
+    request.set("params", std::move(params));
+    JsonValue response = jsonRequest(daemon, request);
+    const JsonValue* result = response.get("result");
+    EXPECT_NE(result, nullptr);
+    return result ? *result : JsonValue();
+}
+
+/** A daemon's disk cache is published after each request: a batch run
+ *  and a restarted daemon over the same directory replay every unit. */
+TEST(DaemonDiskCache, BatchAndRestartReplayEveryUnit)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "mccheck_daemon_disk_cache";
+    fs::remove_all(dir);
+    DaemonOptions options;
+    options.cache_dir = dir.string();
+
+    Daemon daemon(options);
+    const JsonValue cold = daemonProtocolCheck(daemon, "sci");
+    const std::string output = cold.get("output")->asString();
+    ASSERT_FALSE(output.empty());
+
+    CheckRequest request;
+    request.mode = CheckRequest::Mode::Protocol;
+    request.protocol = "sci";
+    request.format = support::OutputFormat::Json;
+    cache::AnalysisCache batch_cache(dir.string());
+    std::ostringstream out;
+    std::ostringstream err;
+    const CheckOutcome outcome =
+        runCheckRequest(request, &batch_cache, nullptr, out, err);
+    EXPECT_EQ(out.str(), output);
+    EXPECT_GT(batch_cache.stats().hits, 0u);
+    EXPECT_EQ(batch_cache.stats().misses, 0u);
+    EXPECT_EQ(outcome.units_reused, outcome.units_total);
+
+    Daemon restarted(options);
+    const JsonValue warm = daemonProtocolCheck(restarted, "sci");
+    EXPECT_EQ(warm.get("output")->asString(), output);
+    const JsonValue* stats = warm.get("stats");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_GT(stats->get("units_total")->asInt(), 0);
+    EXPECT_EQ(stats->get("units_reused")->asInt(),
+              stats->get("units_total")->asInt());
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * daemon's open/change/close documents, snapshot reuse with in-place
  * re-parse of exactly the changed files (stable file ids), LRU
  * eviction of file snapshots, protocol/metal snapshot reuse, and the
- * in-memory AnalysisCache mode (same encode/decode path as disk, zero
- * filesystem traffic).
+ * in-memory AnalysisCache (the same store a cache directory loads into,
+ * with zero filesystem traffic).
  */
 #include "server/resident.h"
 
@@ -233,7 +233,7 @@ TEST(MemoryCache, StoresAndReplaysWithoutAFilesystem)
 {
     std::unique_ptr<cache::AnalysisCache> cache =
         cache::AnalysisCache::inMemory();
-    EXPECT_TRUE(cache->memoryBacked());
+    EXPECT_TRUE(cache->dir().empty());
     EXPECT_FALSE(cache->readonly());
     EXPECT_EQ(cache->entryCount(), 0u);
 
