@@ -12,6 +12,7 @@
 
 #include "checkers/buffer_race.h"
 #include "checkers/buffer_race_magik.h"
+#include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
 #include <iostream>
@@ -28,7 +29,7 @@ main()
                   "the Section 11 experience discussion");
 
     int metal_loc = metal::metalSourceLines(
-        checkers::BufferRaceChecker::metalSource());
+        checkers::builtinMetalSource("wait_for_db"));
     int magik_loc = MCHECK_LOC_MAGIK;
 
     std::vector<std::vector<std::string>> rows;

@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 
 #include "checkers/buffer_race.h"
+#include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
 #include <iostream>
@@ -46,9 +47,9 @@ main()
 
     std::cout << "checker source ("
               << metal::metalSourceLines(
-                     checkers::BufferRaceChecker::metalSource())
+                     checkers::builtinMetalSource("wait_for_db"))
               << " lines of metal):\n"
-              << checkers::BufferRaceChecker::metalSource() << '\n';
+              << checkers::builtinMetalSource("wait_for_db") << '\n';
 
     std::vector<std::vector<std::string>> rows;
     int errors = 0;

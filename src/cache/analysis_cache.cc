@@ -213,6 +213,95 @@ appendRecord(std::string& out, std::uint64_t key, std::string_view entry)
     out += entry;
 }
 
+/**
+ * Where `text`'s final "sum " line starts, or npos when it has none. The
+ * line itself is not checked.
+ */
+std::size_t
+sumLineStart(const std::string& text)
+{
+    const std::size_t sum_pos = text.empty()
+                                    ? std::string::npos
+                                    : text.rfind("sum ", text.size() - 1);
+    if (sum_pos != std::string::npos && sum_pos != 0 &&
+        text[sum_pos - 1] != '\n')
+        return std::string::npos;
+    return sum_pos;
+}
+
+/** Parse the fields of an entry's `body` (the text before its sum line). */
+bool
+parseUnitBody(std::string_view body, CachedUnit& out, std::string& error)
+{
+    FieldReader r{body};
+    r.line("mccheck-cache", 2);
+    const long long format = r.num();
+    if (r.ok && format != kCacheFormatVersion) {
+        error = "cache format version mismatch";
+        return false;
+    }
+    if (r.ok && r.fields[2] != support::kToolVersion) {
+        error = "tool version mismatch";
+        return false;
+    }
+
+    out = CachedUnit();
+    r.line("checker", 1);
+    out.checker = r.str();
+    r.line("function", 1);
+    out.function = r.str();
+    r.line("state", 1);
+    const auto state_size = static_cast<std::size_t>(
+        r.num(0, static_cast<long long>(r.text.size() - r.pos) - 1));
+    if (r.ok) {
+        out.state = r.text.substr(r.pos, state_size);
+        r.pos += state_size;
+        r.ok = r.text[r.pos++] == '\n';
+    }
+    r.line("diags", 1);
+    const long long ndiags = r.num(0);
+    for (long long i = 0; r.ok && i < ndiags; ++i) {
+        CachedDiagnostic d;
+        r.line("diag", 11);
+        d.severity = static_cast<int>(r.num(0, 2));
+        d.line = static_cast<int>(r.num());
+        d.column = static_cast<int>(r.num());
+        const long long ntrace = r.num(0);
+        const long long nsteps = r.num(0);
+        const long long nblocks = r.num(0);
+        d.wtruncated = r.num(0, 1) != 0;
+        d.file = r.str();
+        d.checker = r.str();
+        d.rule = r.str();
+        d.message = r.str();
+        for (long long t = 0; r.ok && t < ntrace; ++t) {
+            r.line("trace", 1);
+            d.trace.push_back(r.str());
+        }
+        for (long long k = 0; r.ok && k < nsteps; ++k) {
+            CachedWitnessStep step;
+            r.line("wstep", 6);
+            step.line = static_cast<int>(r.num());
+            step.column = static_cast<int>(r.num());
+            step.from = r.str();
+            step.to = r.str();
+            step.file = r.str();
+            step.note = r.str();
+            d.wsteps.push_back(std::move(step));
+        }
+        for (long long b = 0; r.ok && b < nblocks; ++b) {
+            r.line("wblock", 1);
+            d.wblocks.push_back(static_cast<int>(r.num()));
+        }
+        out.diags.push_back(std::move(d));
+    }
+    if (!r.ok || r.pos != r.text.size()) {
+        error = "malformed entry";
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 AnalysisCache::AnalysisCache(std::string dir, bool readonly)
@@ -356,8 +445,15 @@ AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
         bump(misses_, "cache.misses");
         return false;
     }
+    // Parse only: every stored entry was encoded by this process or
+    // passed its segment record's checksum at load, which covers the
+    // same bytes the entry's own sum line does.
     std::string error;
-    if (!decodeUnit(text, out, error))
+    const std::size_t sum_pos = sumLineStart(text);
+    if (sum_pos == std::string::npos)
+        return corruptMiss(key, "truncated entry");
+    if (!parseUnitBody(std::string_view(text).substr(0, sum_pos), out,
+                       error))
         return corruptMiss(key, error);
     bump(hits_, "cache.hits");
     bump(bytes_read_, "cache.bytes_read", text.size());
@@ -600,11 +696,9 @@ AnalysisCache::decodeUnit(const std::string& text, CachedUnit& out,
 {
     // Verify the checksum over everything before the final "sum " line
     // first: it catches truncation and bit flips in one test and lets the
-    // field parser below assume structurally intact input.
-    const std::size_t sum_pos =
-        text.empty() ? std::string::npos : text.rfind("sum ", text.size() - 1);
+    // field parser assume structurally intact input.
+    const std::size_t sum_pos = sumLineStart(text);
     if (sum_pos == std::string::npos ||
-        (sum_pos != 0 && text[sum_pos - 1] != '\n') ||
         text.compare(sum_pos, std::string::npos,
                      "sum " +
                          support::hashHex(support::fnv1a(
@@ -613,73 +707,8 @@ AnalysisCache::decodeUnit(const std::string& text, CachedUnit& out,
         error = "truncated entry or checksum mismatch";
         return false;
     }
-    FieldReader r{std::string_view(text).substr(0, sum_pos)};
-    r.line("mccheck-cache", 2);
-    const long long format = r.num();
-    if (r.ok && format != kCacheFormatVersion) {
-        error = "cache format version mismatch";
-        return false;
-    }
-    if (r.ok && r.fields[2] != support::kToolVersion) {
-        error = "tool version mismatch";
-        return false;
-    }
-
-    out = CachedUnit();
-    r.line("checker", 1);
-    out.checker = r.str();
-    r.line("function", 1);
-    out.function = r.str();
-    r.line("state", 1);
-    const auto state_size = static_cast<std::size_t>(
-        r.num(0, static_cast<long long>(r.text.size() - r.pos) - 1));
-    if (r.ok) {
-        out.state = r.text.substr(r.pos, state_size);
-        r.pos += state_size;
-        r.ok = r.text[r.pos++] == '\n';
-    }
-    r.line("diags", 1);
-    const long long ndiags = r.num(0);
-    for (long long i = 0; r.ok && i < ndiags; ++i) {
-        CachedDiagnostic d;
-        r.line("diag", 11);
-        d.severity = static_cast<int>(r.num(0, 2));
-        d.line = static_cast<int>(r.num());
-        d.column = static_cast<int>(r.num());
-        const long long ntrace = r.num(0);
-        const long long nsteps = r.num(0);
-        const long long nblocks = r.num(0);
-        d.wtruncated = r.num(0, 1) != 0;
-        d.file = r.str();
-        d.checker = r.str();
-        d.rule = r.str();
-        d.message = r.str();
-        for (long long t = 0; r.ok && t < ntrace; ++t) {
-            r.line("trace", 1);
-            d.trace.push_back(r.str());
-        }
-        for (long long k = 0; r.ok && k < nsteps; ++k) {
-            CachedWitnessStep step;
-            r.line("wstep", 6);
-            step.line = static_cast<int>(r.num());
-            step.column = static_cast<int>(r.num());
-            step.from = r.str();
-            step.to = r.str();
-            step.file = r.str();
-            step.note = r.str();
-            d.wsteps.push_back(std::move(step));
-        }
-        for (long long b = 0; r.ok && b < nblocks; ++b) {
-            r.line("wblock", 1);
-            d.wblocks.push_back(static_cast<int>(r.num()));
-        }
-        out.diags.push_back(std::move(d));
-    }
-    if (!r.ok || r.pos != r.text.size()) {
-        error = "malformed entry";
-        return false;
-    }
-    return true;
+    return parseUnitBody(std::string_view(text).substr(0, sum_pos), out,
+                         error);
 }
 
 CachedDiagnostic

@@ -177,7 +177,9 @@ class AnalysisCache
     /**
      * Parse an encoded entry. Returns false with a reason in `error` for
      * anything malformed: bad checksum, wrong format/tool version,
-     * truncation, field corruption.
+     * truncation, field corruption. For bytes from outside the store
+     * (the shard wire, the fuzzer); `lookup` skips the checksum, which
+     * the segment record checksum already covered.
      */
     static bool decodeUnit(const std::string& text, CachedUnit& out,
                            std::string& error);

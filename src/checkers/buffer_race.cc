@@ -1,22 +1,15 @@
 #include "checkers/buffer_race.h"
 
-#include "checkers/metal_sources.h"
+#include "checkers/registry.h"
 #include "flash/macros.h"
 #include "metal/engine.h"
 
 namespace mc::checkers {
 
 BufferRaceChecker::BufferRaceChecker(metal::PruneStrategy prune_strategy)
-    : program_(
-          mc::metal::parseMetal(kWaitForDbMetal, "wait_for_db.metal")),
+    : program_(builtinMetalProgram("wait_for_db")),
       prune_strategy_(prune_strategy)
 {}
-
-const char*
-BufferRaceChecker::metalSource()
-{
-    return kWaitForDbMetal;
-}
 
 void
 BufferRaceChecker::checkFunction(const lang::FunctionDecl& fn,

@@ -28,11 +28,11 @@ class BufferRaceChecker : public Checker
     void checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
                        CheckContext& ctx) override;
 
-    /** The metal source this checker executes. */
-    static const char* metalSource();
+    /** The program it runs: builtinMetalProgram, shared process-wide. */
+    const mc::metal::MetalProgram& program() const { return program_; }
 
   private:
-    mc::metal::MetalProgram program_;
+    const mc::metal::MetalProgram& program_;
     metal::PruneStrategy prune_strategy_ = metal::PruneStrategy::Off;
 };
 

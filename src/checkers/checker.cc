@@ -96,12 +96,14 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
     support::TraceRecorder& tracer = support::TraceRecorder::global();
 
     // Pre-registered to match the parallel runner's report: the
-    // sequential runner has no unit containment, so both are honestly
-    // zero — but the key set must not depend on which runner ran.
-    if (metrics.enabled()) {
-        metrics.counter("engine.unit_failures").add(0);
-        metrics.counter("budget.truncations").add(0);
-    }
+    // sequential runner has no unit containment, so the first two are
+    // honestly zero — but the key set must not depend on which runner
+    // ran.
+    if (metrics.enabled())
+        for (const char* name :
+             {"engine.unit_failures", "budget.truncations",
+              "engine.table_memo_hits", "engine.table_memo_misses"})
+            metrics.counter(name).add(0);
 
     // Per-checker wall time, accumulated across every function pass plus
     // the program-level pass. One steady_clock read per (function,

@@ -1,22 +1,15 @@
 #include "checkers/msg_length.h"
 
-#include "checkers/metal_sources.h"
+#include "checkers/registry.h"
 #include "flash/macros.h"
 #include "metal/engine.h"
 
 namespace mc::checkers {
 
 MsgLengthChecker::MsgLengthChecker(metal::PruneStrategy prune_strategy)
-    : program_(
-          mc::metal::parseMetal(kMsgLenCheckMetal, "msglen_check.metal")),
+    : program_(builtinMetalProgram("msglen_check")),
       prune_strategy_(prune_strategy)
 {}
-
-const char*
-MsgLengthChecker::metalSource()
-{
-    return kMsgLenCheckMetal;
-}
 
 void
 MsgLengthChecker::checkFunction(const lang::FunctionDecl& fn,

@@ -6,11 +6,64 @@
 #include "checkers/directory.h"
 #include "checkers/exec_restrict.h"
 #include "checkers/lanes.h"
+#include "checkers/metal_sources.h"
 #include "checkers/msg_length.h"
 #include "checkers/no_float.h"
 #include "checkers/send_wait.h"
+#include "metal/metal_parser.h"
+#include "support/metrics.h"
+
+#include <iterator>
+#include <mutex>
+#include <stdexcept>
+#include <utility>
 
 namespace mc::checkers {
+
+namespace {
+
+/** The one checker name -> embedded metal source table. */
+const std::pair<const char*, const char* const*> kBuiltinMetal[] = {
+    {"wait_for_db", &kWaitForDbMetal},
+    {"msglen_check", &kMsgLenCheckMetal},
+};
+constexpr std::size_t kBuiltinMetalRows = std::size(kBuiltinMetal);
+
+/** The row of `checker_name`, or kBuiltinMetalRows when it has none. */
+std::size_t
+builtinMetalRow(const std::string& checker_name)
+{
+    std::size_t row = 0;
+    while (row < kBuiltinMetalRows &&
+           checker_name != kBuiltinMetal[row].first)
+        ++row;
+    return row;
+}
+
+} // namespace
+
+const char*
+builtinMetalSource(const std::string& checker_name)
+{
+    const std::size_t row = builtinMetalRow(checker_name);
+    return row < kBuiltinMetalRows ? *kBuiltinMetal[row].second : "";
+}
+
+const metal::MetalProgram&
+builtinMetalProgram(const std::string& checker_name)
+{
+    static std::once_flag parsed[kBuiltinMetalRows];
+    static metal::MetalProgram programs[kBuiltinMetalRows];
+    const std::size_t row = builtinMetalRow(checker_name);
+    if (row == kBuiltinMetalRows)
+        throw std::invalid_argument("checker '" + checker_name +
+                                    "' has no built-in metal program");
+    std::call_once(parsed[row], [&] {
+        programs[row] = metal::parseMetal(*kBuiltinMetal[row].second,
+                                          checker_name + ".metal");
+    });
+    return programs[row];
+}
 
 Checker*
 CheckerSet::byName(const std::string& name) const
@@ -24,6 +77,9 @@ CheckerSet::byName(const std::string& name) const
 std::unique_ptr<Checker>
 makeChecker(const std::string& name, const CheckerSetOptions& options)
 {
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled())
+        metrics.counter("checker.instances_built").add();
     if (name == "buffer_mgmt") {
         BufferMgmtChecker::Options bm;
         bm.value_sensitive_frees = options.value_sensitive_frees;

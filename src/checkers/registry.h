@@ -8,6 +8,10 @@
 #include <string>
 #include <vector>
 
+namespace mc::metal {
+struct MetalProgram;
+} // namespace mc::metal
+
 namespace mc::checkers {
 
 /** An owned set of checkers plus the raw-pointer view runCheckers takes. */
@@ -52,14 +56,34 @@ CheckerSet makeAllCheckers(
 
 /**
  * Instantiate one checker by its stable name (a Table 7 row). Returns
- * nullptr for unknown names. The parallel runner uses this as its
- * per-worker factory: checkers carry mutable per-run state (applied
- * counts, lanes summaries), so each (function, checker) work unit gets a
- * fresh instance built with the same options.
+ * nullptr for unknown names. Every unit builds its checker here (through
+ * UnitGrid::make): checkers carry mutable per-run state (applied counts,
+ * lanes summaries, tallies), so each (function, checker) work unit gets
+ * a fresh instance built with the same options. What is immutable is
+ * not rebuilt: the two metal checkers refer to their process-wide
+ * builtinMetalProgram, so a fresh instance costs microseconds.
  */
 std::unique_ptr<Checker> makeChecker(
     const std::string& name,
     const CheckerSetOptions& options = CheckerSetOptions());
+
+/**
+ * The metal source a built-in checker compiles from (wait_for_db,
+ * msglen_check), or "" for the hand-written ones. Part of every unit's
+ * cache key: editing a .metal file invalidates every result its checker
+ * produced.
+ */
+const char* builtinMetalSource(const std::string& checker_name);
+
+/**
+ * The compiled program of a built-in metal checker: parsed from
+ * builtinMetalSource on first use (thread-safe), then shared, immutable,
+ * by every instance in the process — one StateMachine and one
+ * CompiledSm generation. Throws std::invalid_argument for a checker
+ * without metal source.
+ */
+const metal::MetalProgram& builtinMetalProgram(
+    const std::string& checker_name);
 
 /** The nine checker names in Table 7 (= makeAllCheckers) order. */
 const std::vector<std::string>& allCheckerNames();

@@ -10,7 +10,6 @@
  */
 #include "checkers/unit_executor.h"
 
-#include "checkers/metal_sources.h"
 #include "checkers/unit_guard.h"
 #include "flash/protocol_spec.h"
 #include "lang/fingerprint.h"
@@ -31,21 +30,6 @@ namespace mc::checkers {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/**
- * The metal state-machine source a checker compiles from, or "" for the
- * hand-written ones. Part of the cache key: editing a .metal file must
- * invalidate every result its checker produced.
- */
-const char*
-metalSourceFor(const std::string& checker_name)
-{
-    if (checker_name == "wait_for_db")
-        return kWaitForDbMetal;
-    if (checker_name == "msglen_check")
-        return kMsgLenCheckMetal;
-    return "";
-}
 
 support::TraceRecorder*
 activeTracer()
@@ -82,7 +66,7 @@ unitCacheKey(const std::string& checker_name,
     h.i64(cache::kCacheFormatVersion);
     h.str(support::kToolVersion);
     h.str(checker_name);
-    h.str(metalSourceFor(checker_name));
+    h.str(builtinMetalSource(checker_name));
     h.u8(options.value_sensitive_frees ? 1 : 0);
     // PruneStrategy::Off encodes 0 — the byte the old boolean flag
     // wrote — so existing cache entries stay valid for unpruned runs.
@@ -264,7 +248,9 @@ registerUnitMetrics()
     for (const char* name :
          {"engine.unit_failures", "budget.truncations", "witness.steps",
           "witness.truncations", "ledger.events", "walker.infeasible_pruned",
-          "walker.prune_cache_hits", "walker.prune_skipped_nary"})
+          "walker.prune_cache_hits", "walker.prune_skipped_nary",
+          "metal.programs_parsed", "checker.instances_built",
+          "engine.table_memo_hits", "engine.table_memo_misses"})
         metrics.counter(name).add(0);
     metrics.histogram("unit.wall_ns");
     metrics.histogram("unit.visits");

@@ -62,10 +62,17 @@ std::atomic<MatchStrategy> g_default_strategy{MatchStrategy::Table};
 
 /**
  * Per-thread transition-table memo: cells and skip bitsets are pure
- * functions of (compiled machine, CFG), so re-checking the same
- * (function, checker) unit — bench repeat passes, warm-cache runs, the
- * daemon's successive requests — reuses the filled table instead of
+ * functions of (compiled machine, CFG), so walking the same CFG with the
+ * same machine again on this thread reuses the filled table instead of
  * re-unifying every touched (statement, state) pair.
+ *
+ * Only repeated walks of one CFG hit, as in the engine_throughput
+ * bench's passes. A checking run walks each (function, checker) unit
+ * once; warm-cache runs and the daemon's re-checks replay unchanged
+ * units from the analysis cache rather than walking them, and an edited
+ * function gets a fresh CFG. `engine.table_memo_{hits,misses}` read 0
+ * hits on mccheck --protocol, --cache and --shards runs and on daemon
+ * re-checks.
  *
  * Keyed by the FlatCfg arena id and the CompiledSm generation, both
  * process-unique and never reused, so a recreated CFG or machine (even
@@ -92,6 +99,12 @@ memoizedTable(const CompiledSm& csm, const cfg::Cfg& cfg)
         cache;
     const std::uint64_t key = (flat_id << 32) | gen;
     auto it = cache.find(key);
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled())
+        metrics
+            .counter(it != cache.end() ? "engine.table_memo_hits"
+                                       : "engine.table_memo_misses")
+            .add();
     if (it != cache.end())
         return it->second;
     if (cache.size() >= 8192)

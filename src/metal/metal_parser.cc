@@ -2,6 +2,7 @@
 
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "support/metrics.h"
 #include "support/text.h"
 
 #include <fstream>
@@ -375,6 +376,9 @@ class MetalParser
 MetalProgram
 parseMetal(const std::string& source, const std::string& origin)
 {
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled())
+        metrics.counter("metal.programs_parsed").add();
     std::size_t rest = 0;
     std::string prelude = extractPrelude(source, rest);
     MetalParser parser(source.substr(rest), origin);

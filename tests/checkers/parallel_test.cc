@@ -29,6 +29,12 @@ struct RunResult
     std::vector<CheckerRunStats> stats;
     /** checker.* counter values published while this run was active. */
     std::map<std::string, std::uint64_t> counters;
+    /**
+     * checker.instances_built, kept out of `counters`: it counts
+     * constructions, which differ by design between the runners — the
+     * sequential runner reuses the master set, units build their own.
+     */
+    std::uint64_t instances_built = 0;
 };
 
 /** Check `loaded` with `jobs` lanes and capture everything observable. */
@@ -61,8 +67,10 @@ runWith(const corpus::LoadedProtocol& loaded, unsigned jobs)
     out.json = json.str();
     out.sarif = sarif.str();
     for (const auto& [name, counter] : metrics.counters())
-        if (name.rfind("checker.", 0) == 0 ||
-            name.rfind("engine.", 0) == 0)
+        if (name == "checker.instances_built")
+            out.instances_built = counter.value();
+        else if (name.rfind("checker.", 0) == 0 ||
+                 name.rfind("engine.", 0) == 0)
             out.counters[name] = counter.value();
     metrics.setEnabled(false);
     metrics.reset();
@@ -105,6 +113,13 @@ TEST(ParallelCheckers, MatchesSequentialRunnerByteForByte)
                           std::string(name) + " jobs=1");
         expectSameResults(sequential, four_lanes,
                           std::string(name) + " jobs=4");
+        // The master set, then one fresh checker per unit at any jobs.
+        const std::uint64_t masters = allCheckerNames().size();
+        const std::uint64_t units =
+            loaded.program->functions().size() * masters;
+        EXPECT_EQ(sequential.instances_built, masters) << name;
+        EXPECT_EQ(one_lane.instances_built, masters + units) << name;
+        EXPECT_EQ(four_lanes.instances_built, masters + units) << name;
     }
 }
 
