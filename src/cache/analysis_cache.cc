@@ -375,8 +375,9 @@ AnalysisCache::put(std::uint64_t key, std::string text)
 {
     Entry& entry = entries_[key];
     bytes_ += text.size();
-    bytes_ -= entry.text.size();
-    entry = Entry{next_seq_++, std::move(text)};
+    bytes_ -= entry.text ? entry.text->size() : 0;
+    entry = Entry{next_seq_++,
+                  std::make_shared<const std::string>(std::move(text))};
 }
 
 std::uint64_t
@@ -410,7 +411,7 @@ AnalysisCache::corruptMiss(std::uint64_t key, const std::string& reason)
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(key);
         if (it != entries_.end()) {
-            bytes_ -= it->second.text.size();
+            bytes_ -= it->second.text->size();
             entries_.erase(it);
         }
         compact_ = true;
@@ -433,15 +434,17 @@ AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
     } catch (const support::InjectedFault& f) {
         return corruptMiss(key, f.what());
     }
-    std::string text;
-    bool found = false;
+    // The entry's text is immutable and shared: the lock covers only
+    // taking a reference, and the parse below reads the stored bytes in
+    // place while concurrent lookups, stores and evictions proceed.
+    std::shared_ptr<const std::string> text;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(key);
-        if ((found = it != entries_.end()))
+        if (it != entries_.end())
             text = it->second.text;
     }
-    if (!found) {
+    if (!text) {
         bump(misses_, "cache.misses");
         return false;
     }
@@ -449,14 +452,14 @@ AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
     // passed its segment record's checksum at load, which covers the
     // same bytes the entry's own sum line does.
     std::string error;
-    const std::size_t sum_pos = sumLineStart(text);
+    const std::size_t sum_pos = sumLineStart(*text);
     if (sum_pos == std::string::npos)
         return corruptMiss(key, "truncated entry");
-    if (!parseUnitBody(std::string_view(text).substr(0, sum_pos), out,
+    if (!parseUnitBody(std::string_view(*text).substr(0, sum_pos), out,
                        error))
         return corruptMiss(key, error);
     bump(hits_, "cache.hits");
-    bump(bytes_read_, "cache.bytes_read", text.size());
+    bump(bytes_read_, "cache.bytes_read", text->size());
     return true;
 }
 
@@ -501,7 +504,7 @@ AnalysisCache::trim(std::uint64_t max_bytes)
         if (bytes_ <= max_bytes)
             break;
         auto it = entries_.find(key);
-        bytes_ -= it->second.text.size();
+        bytes_ -= it->second.text->size();
         entries_.erase(it);
         bump(evictions_, "cache.evictions");
     }
@@ -562,7 +565,7 @@ AnalysisCache::flush()
     std::sort(order.begin(), order.end());
     std::string text = segmentHeader(order.size());
     for (const auto& [seq, key] : order)
-        appendRecord(text, key, entries_.at(key).text);
+        appendRecord(text, key, *entries_.at(key).text);
     std::string path;
     if (!order.empty()) {
         if (!writeSegment(text, path))

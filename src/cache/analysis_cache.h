@@ -220,7 +220,9 @@ class AnalysisCache
     {
         /** Store order: loaded segments first, oldest first. */
         std::uint64_t seq = 0;
-        std::string text;
+        /** The encoded entry, never modified once stored: a lookup
+         *  parses it after dropping the lock, with no copy. */
+        std::shared_ptr<const std::string> text;
     };
 
     AnalysisCache() = default;

@@ -57,10 +57,13 @@ CfgCache::get(const lang::FunctionDecl& fn, bool* reused)
     return cfgs.emplace(&fn, std::move(built)).first->second;
 }
 
+namespace {
+
+/** The column half of unitCacheKey: the FNV-1a state after every
+ *  ingredient one checker's units share (all but the fingerprints). */
 std::uint64_t
-unitCacheKey(const std::string& checker_name,
-             const CheckerSetOptions& options, std::uint64_t spec_fp,
-             std::uint64_t fn_fp)
+unitKeyPrefix(const std::string& checker_name,
+              const CheckerSetOptions& options)
 {
     support::Fnv1a h;
     h.i64(cache::kCacheFormatVersion);
@@ -76,9 +79,24 @@ unitCacheKey(const std::string& checker_name,
     // share an entry — and neither may runs with different caps.
     h.u8(support::witnessEnabled() ? 1 : 0);
     h.u64(support::witnessLimit());
-    h.u64(spec_fp);
-    h.u64(fn_fp);
     return h.value();
+}
+
+/** The unit half: `prefix` resumed with the two fingerprints. */
+std::uint64_t
+unitKey(std::uint64_t prefix, std::uint64_t spec_fp, std::uint64_t fn_fp)
+{
+    return support::Fnv1a::resume(prefix).u64(spec_fp).u64(fn_fp).value();
+}
+
+} // namespace
+
+std::uint64_t
+unitCacheKey(const std::string& checker_name,
+             const CheckerSetOptions& options, std::uint64_t spec_fp,
+             std::uint64_t fn_fp)
+{
+    return unitKey(unitKeyPrefix(checker_name, options), spec_fp, fn_fp);
 }
 
 UnitGrid
@@ -98,9 +116,15 @@ builtinGrid(const lang::Program& program, const flash::ProtocolSpec& spec,
     grid.make = [checkers, options](std::size_t c) {
         return makeChecker(checkers[c]->name(), options);
     };
-    grid.key = [checkers, options](std::size_t c, std::uint64_t spec_fp,
-                                   std::uint64_t fn_fp) {
-        return unitCacheKey(checkers[c]->name(), options, spec_fp, fn_fp);
+    // The column's share of the key is hashed once per grid, not per
+    // unit: it covers the whole metal source of the metal checkers.
+    std::vector<std::uint64_t> prefixes;
+    for (Checker* checker : checkers)
+        prefixes.push_back(unitKeyPrefix(checker->name(), options));
+    grid.key = [prefixes = std::move(prefixes)](std::size_t c,
+                                                std::uint64_t spec_fp,
+                                                std::uint64_t fn_fp) {
+        return unitKey(prefixes[c], spec_fp, fn_fp);
     };
     return grid;
 }
@@ -211,16 +235,17 @@ lookupUnits(const UnitGrid& grid, cache::AnalysisCache* cache,
     if (!cache)
         return keys;
     support::TraceSpan span(activeTracer(), "cache.lookup", "cache");
-    const std::map<std::string, std::uint64_t> fn_fps =
-        lang::fingerprintFunctions(grid.program);
+    const std::vector<std::optional<std::uint64_t>> fn_fps =
+        lang::functionFingerprints(grid.program);
     const std::map<std::string, std::int32_t> file_ids =
         cache::AnalysisCache::fileIdsByName(grid.program.sourceManager());
     const std::uint64_t spec_fp = flash::specFingerprint(grid.spec);
     pool.parallelFor(grid.size(), [&](std::size_t u) {
-        auto fp = fn_fps.find(grid.function(u).name);
-        if (fp == fn_fps.end())
+        const std::optional<std::uint64_t>& fn_fp =
+            fn_fps[u / grid.columns()];
+        if (!fn_fp)
             return;
-        keys[u] = grid.key(u % grid.columns(), spec_fp, fp->second);
+        keys[u] = grid.key(u % grid.columns(), spec_fp, *fn_fp);
         cache::CachedUnit stored;
         if (cache->lookup(keys[u], stored) &&
             replayUnit(grid, u, stored, file_ids, results[u]))
@@ -250,7 +275,8 @@ registerUnitMetrics()
           "witness.truncations", "ledger.events", "walker.infeasible_pruned",
           "walker.prune_cache_hits", "walker.prune_skipped_nary",
           "metal.programs_parsed", "checker.instances_built",
-          "engine.table_memo_hits", "engine.table_memo_misses"})
+          "engine.table_memo_hits", "engine.table_memo_misses",
+          "lang.fingerprint_memo_hits", "lang.fingerprint_memo_misses"})
         metrics.counter(name).add(0);
     metrics.histogram("unit.wall_ns");
     metrics.histogram("unit.visits");

@@ -104,7 +104,9 @@ struct UnitGrid
 
 /**
  * The grid of built-in checkers: private instances come from
- * makeChecker with `options`, keys from unitCacheKey. Throws
+ * makeChecker with `options`, keys equal unitCacheKey's (each column's
+ * key prefix is hashed once, here, under the witness configuration in
+ * force when the grid is built). Throws
  * std::invalid_argument for a checker name the registry does not know —
  * a unit must be rebuildable to run, replay or cross a process boundary.
  */
@@ -118,7 +120,9 @@ UnitGrid builtinGrid(const lang::Program& program,
  * version, checker identity + options + metal source, witness
  * configuration, protocol-spec fingerprint, function token-stream
  * fingerprint. Two runs may share a cache entry only when every
- * ingredient matches.
+ * ingredient matches. Computed as a per-checker prefix (everything but
+ * the two fingerprints) resumed with spec_fp and fn_fp, the same two
+ * halves builtinGrid's keys use.
  */
 std::uint64_t unitCacheKey(const std::string& checker_name,
                            const CheckerSetOptions& options,

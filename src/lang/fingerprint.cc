@@ -2,6 +2,7 @@
 
 #include "lang/lexer.h"
 #include "support/hash.h"
+#include "support/metrics.h"
 
 namespace mc::lang {
 
@@ -28,24 +29,47 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
     return h.value();
 }
 
+std::vector<std::optional<std::uint64_t>>
+functionFingerprints(const Program& program)
+{
+    std::vector<std::optional<std::uint64_t>> out;
+    out.reserve(program.functions().size());
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    // Slot order is the order of program.functions().
+    for (std::size_t slot = 0; slot < program.units().size(); ++slot) {
+        const std::vector<const FunctionDecl*> fns =
+            program.units()[slot].functionDefinitions();
+        if (fns.empty())
+            continue;
+        bool computed = false;
+        const std::optional<std::uint64_t> unit_fp =
+            program.unitFingerprint(slot, &computed);
+        if (unit_fp)
+            ++(computed ? misses : hits);
+        for (const FunctionDecl* fn : fns) {
+            std::optional<std::uint64_t>& fn_fp = out.emplace_back();
+            if (unit_fp)
+                fn_fp = support::Fnv1a().u64(*unit_fp).str(fn->name).value();
+        }
+    }
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled()) {
+        metrics.counter("lang.fingerprint_memo_hits").add(hits);
+        metrics.counter("lang.fingerprint_memo_misses").add(misses);
+    }
+    return out;
+}
+
 std::map<std::string, std::uint64_t>
 fingerprintFunctions(const Program& program)
 {
+    const std::vector<std::optional<std::uint64_t>> fps =
+        functionFingerprints(program);
     std::map<std::string, std::uint64_t> out;
-    for (const TranslationUnit& unit : program.units()) {
-        // A unit that needed frontend recovery gets no fingerprints at
-        // all: its token stream contains the garbage region, so caching
-        // sibling results keyed on it would be fragile, and a lex-failed
-        // unit cannot even be re-lexed here. Its functions are simply
-        // re-analyzed every run until the unit is fixed.
-        if (!unit.issues.empty())
-            continue;
-        std::uint64_t unit_fp =
-            unitFingerprint(program.sourceManager(), unit.file_id);
-        for (const FunctionDecl* fn : unit.functionDefinitions())
-            out[fn->name] =
-                support::Fnv1a().u64(unit_fp).str(fn->name).value();
-    }
+    for (std::size_t i = 0; i < fps.size(); ++i)
+        if (fps[i])
+            out[program.functions()[i]->name] = *fps[i];
     return out;
 }
 

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace mc::lang {
 
@@ -28,6 +30,12 @@ namespace mc::lang {
  * invalidates every function it defines, which can never replay stale
  * results (the corpus and FLASH layout keep one handler per file, so in
  * practice this is per-function granularity anyway).
+ *
+ * Each parsed unit is fingerprinted at most once: the value is computed
+ * on first use and lives as long as the parsed unit does (see
+ * Program::unitFingerprint). Program::updateSource drops the replaced
+ * unit's value, so a resident program re-hashes only the edited files.
+ * Parsing never fingerprints; runs without a cache never pay for it.
  */
 
 /** Fingerprint of one registered file's token stream. Stable across runs. */
@@ -35,8 +43,17 @@ std::uint64_t unitFingerprint(const support::SourceManager& sm,
                               std::int32_t file_id);
 
 /**
- * Fingerprints for every function definition in `program`, keyed by
- * function name (definitions are unique per program).
+ * Fingerprint of every function in program.functions() order; nullopt
+ * for the functions of a unit that needed frontend recovery (they are
+ * re-analyzed every run until the unit is fixed). Counts the unit memo's
+ * hits and misses in lang.fingerprint_memo_{hits,misses}.
+ */
+std::vector<std::optional<std::uint64_t>>
+functionFingerprints(const Program& program);
+
+/**
+ * The same fingerprints keyed by function name; when two units define
+ * one name, the later unit's value wins.
  */
 std::map<std::string, std::uint64_t>
 fingerprintFunctions(const Program& program);

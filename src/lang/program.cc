@@ -1,5 +1,7 @@
 #include "lang/program.h"
 
+#include "lang/fingerprint.h"
+
 namespace mc::lang {
 
 TranslationUnit
@@ -37,6 +39,7 @@ Program::addSource(std::string name, std::string source)
 {
     std::int32_t id = sm_.addFile(std::move(name), std::move(source));
     units_.push_back(parseUnit(id));
+    unit_fps_.emplace_back();
     TranslationUnit& stored = units_.back();
     sema_.run(stored);
     for (const FunctionDecl* fn : stored.functionDefinitions()) {
@@ -64,6 +67,7 @@ Program::updateSource(const std::string& name, std::string source)
     arena_waste_ += sm_.fileContents(id).size();
     if (!sm_.replaceFile(id, std::move(source)))
         return nullptr;
+    unit_fps_[slot].reset();
     units_[slot] = parseUnit(id);
     TranslationUnit& stored = units_[slot];
     sema_.run(stored);
@@ -100,6 +104,29 @@ Program::findFunction(const std::string& name) const
 {
     auto it = by_name_.find(name);
     return it == by_name_.end() ? nullptr : it->second;
+}
+
+std::optional<std::uint64_t>
+Program::unitFingerprint(std::size_t slot, bool* computed) const
+{
+    if (computed)
+        *computed = false;
+    const TranslationUnit& unit = units_.at(slot);
+    // A unit that needed frontend recovery gets no fingerprint: its
+    // token stream contains the garbage region, and a lex-failed unit
+    // cannot even be re-lexed.
+    if (!unit.issues.empty())
+        return std::nullopt;
+    // Hashed under the lock: concurrent first users wait for one
+    // computation instead of repeating it.
+    std::lock_guard<std::mutex> lock(fingerprint_mu_);
+    std::optional<std::uint64_t>& memo = unit_fps_[slot];
+    if (!memo) {
+        memo = lang::unitFingerprint(sm_, unit.file_id);
+        if (computed)
+            *computed = true;
+    }
+    return memo;
 }
 
 } // namespace mc::lang

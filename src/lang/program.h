@@ -6,8 +6,11 @@
 #include "lang/sema.h"
 #include "support/source_manager.h"
 
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +102,17 @@ class Program
     /** Definition of `name`, or nullptr. */
     const FunctionDecl* findFunction(const std::string& name) const;
 
+    /**
+     * Token fingerprint (lang::unitFingerprint) of the unit in `slot` of
+     * units(), or nullopt for a unit that needed frontend recovery.
+     * Computed on first use and kept until updateSource replaces that
+     * unit, so a resident program re-fingerprints only edited files.
+     * Safe to call from many threads at once; `computed`, when given,
+     * reports whether this call did the hashing (a memo miss).
+     */
+    std::optional<std::uint64_t> unitFingerprint(std::size_t slot,
+                                                 bool* computed = nullptr) const;
+
   private:
     AstContext ctx_;
     support::SourceManager sm_;
@@ -115,6 +129,12 @@ class Program
     std::map<std::string, const FunctionDecl*> by_name_;
     bool recover_ = false;
     std::size_t arena_waste_ = 0;
+
+    /** Guards unit_fps_'s entries, which const readers fill on first
+     *  use; only the (non-const) mutators resize or clear them. */
+    mutable std::mutex fingerprint_mu_;
+    /** Per slot of units_: the unit's fingerprint once computed. */
+    mutable std::vector<std::optional<std::uint64_t>> unit_fps_;
 };
 
 } // namespace mc::lang

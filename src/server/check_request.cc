@@ -278,20 +278,22 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
         return std::make_unique<MetalUnitChecker>(*checker,
                                                   req.prune_strategy);
     };
-    const std::string unit_checker = master.name();
-    grid.key = [&](std::size_t, std::uint64_t, std::uint64_t fn_fp) {
-        // Witness capture changes the cached bytes, so witness-on and
-        // witness-off runs (and different caps) key separately.
-        return support::Fnv1a()
+    // Witness capture changes the cached bytes, so witness-on and
+    // witness-off runs (and different caps) key separately. All but the
+    // function fingerprint is hashed once, not per unit.
+    const std::uint64_t key_prefix =
+        support::Fnv1a()
             .i64(cache::kCacheFormatVersion)
             .str(support::kToolVersion)
-            .str(unit_checker)
+            .str(master.name())
             .str(metal_source)
             .u8(support::witnessEnabled() ? 1 : 0)
             .u64(support::witnessLimit())
             .u8(static_cast<std::uint8_t>(req.prune_strategy))
-            .u64(fn_fp)
             .value();
+    grid.key = [key_prefix](std::size_t, std::uint64_t,
+                            std::uint64_t fn_fp) {
+        return support::Fnv1a::resume(key_prefix).u64(fn_fp).value();
     };
     support::DiagnosticSink sink;
     reportFrontendIssues(program, sink);

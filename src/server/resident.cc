@@ -23,18 +23,15 @@ constexpr std::size_t kArenaWasteRebuildBytes = 8ull << 20;
 /** Read every file in request order; false with the batch error line. */
 bool
 readAll(const std::vector<std::string>& files, const FileReader& reader,
-        std::vector<std::string>& contents,
-        std::vector<std::uint64_t>& hashes, std::string& error_line)
+        std::vector<std::string>& contents, std::string& error_line)
 {
     contents.assign(files.size(), {});
-    hashes.assign(files.size(), 0);
     for (std::size_t i = 0; i < files.size(); ++i) {
         std::string error;
         if (!reader(files[i], contents[i], error)) {
             error_line = "mccheck: " + error;
             return false;
         }
-        hashes[i] = support::fnv1a(contents[i]);
     }
     return true;
 }
@@ -131,8 +128,7 @@ buildProgramOneShot(const std::vector<std::string>& files,
 {
     PreparedProgram prepared;
     std::vector<std::string> contents;
-    std::vector<std::uint64_t> hashes;
-    if (!readAll(files, reader, contents, hashes, prepared.error))
+    if (!readAll(files, reader, contents, prepared.error))
         return prepared;
     auto program = std::make_unique<lang::Program>(/*recover=*/true);
     if (!buildInto(*program, files, contents, prepared.error))
@@ -153,26 +149,29 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
     // Read every input up front, in request order, so "cannot open"
     // surfaces for the same (first) file a batch run would report.
     std::vector<std::string> contents;
-    std::vector<std::uint64_t> hashes;
-    if (!readAll(files, reader, contents, hashes, prepared.error))
+    if (!readAll(files, reader, contents, prepared.error))
         return prepared;
 
     FileSnapshot* snap = findSnapshot(files);
     if (snap &&
         snap->program->arenaWasteEstimate() <= kArenaWasteRebuildBytes) {
+        lang::Program& program = *snap->program;
         bool in_place_ok = true;
         std::uint64_t reparsed = 0;
+        // The snapshot was built from `files` in order, so slot i holds
+        // files[i]; its text is what that unit was parsed from.
         for (std::size_t i = 0; i < files.size() && in_place_ok; ++i) {
-            if (snap->hashes[i] == hashes[i])
+            const std::int32_t id = program.units()[i].file_id;
+            if (program.sourceManager().fileContents(id) == contents[i])
                 continue;
             // Copied, not moved: if a later file's in-place update fails
-            // the rebuild below still needs every file's contents.
-            if (snap->program->updateSource(files[i], contents[i])) {
-                snap->hashes[i] = hashes[i];
-                ++reparsed;
-            } else {
-                in_place_ok = false;
-            }
+            // the rebuild below still needs every file's contents. An
+            // update that lands in another slot (a name listed twice)
+            // also falls back to the rebuild.
+            const lang::TranslationUnit* unit =
+                program.updateSource(files[i], contents[i]);
+            in_place_ok = unit && unit->file_id == id;
+            ++reparsed;
         }
         if (in_place_ok) {
             snap->last_used = ++use_seq_;
@@ -193,7 +192,6 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
     if (snap) {
         // Same file list, but reuse fell through (arena pressure or a
         // failed in-place update): replace the stale snapshot's guts.
-        snap->hashes = std::move(hashes);
         snap->program = std::move(program);
         snap->cfg_cache = std::make_unique<checkers::CfgCache>();
         snap->last_used = ++use_seq_;
@@ -209,7 +207,6 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         }
         FileSnapshot fresh;
         fresh.files = files;
-        fresh.hashes = std::move(hashes);
         fresh.program = std::move(program);
         fresh.cfg_cache = std::make_unique<checkers::CfgCache>();
         fresh.last_used = ++use_seq_;

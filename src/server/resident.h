@@ -69,10 +69,10 @@ struct PreparedProgram
  *     own functions' entries.
  *  3. Parsed programs + their CFGs live in snapshots keyed by the
  *     *ordered file list*. A request over the same file set reuses the
- *     snapshot; files whose content hash changed re-parse in place
- *     (Program::updateSource — file ids stay stable, so diagnostic
- *     emission order matches a cold batch run); a different file set
- *     rebuilds from scratch.
+ *     snapshot; files whose bytes differ from the text their unit was
+ *     parsed from re-parse in place (Program::updateSource — file ids
+ *     stay stable, so diagnostic emission order matches a cold batch
+ *     run); a different file set rebuilds from scratch.
  *
  * Byte-parity invariant: nothing here may change output bytes. Reuse
  * either reproduces exactly what a fresh build would produce (stable
@@ -146,7 +146,6 @@ class ResidentState
     struct FileSnapshot
     {
         std::vector<std::string> files;
-        std::vector<std::uint64_t> hashes;
         std::unique_ptr<lang::Program> program;
         std::unique_ptr<checkers::CfgCache> cfg_cache;
         std::uint64_t last_used = 0;

@@ -22,6 +22,18 @@ class Fnv1a
     static constexpr std::uint64_t kOffset = 1469598103934665603ULL;
     static constexpr std::uint64_t kPrime = 1099511628211ULL;
 
+    /**
+     * A hasher that continues from `state`, an earlier hasher's value():
+     * hashing a common prefix once and resuming it per suffix gives the
+     * same value as hashing prefix + suffix from scratch.
+     */
+    static Fnv1a resume(std::uint64_t state)
+    {
+        Fnv1a h;
+        h.h_ = state;
+        return h;
+    }
+
     Fnv1a& bytes(const void* data, std::size_t n)
     {
         const unsigned char* p = static_cast<const unsigned char*>(data);

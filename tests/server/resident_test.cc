@@ -122,6 +122,30 @@ TEST(ResidentPrograms, EditedFileReparsesInPlaceOnly)
     EXPECT_EQ(third.files_reparsed, 0u);
 }
 
+TEST(ResidentPrograms, FileListedTwiceRebuildsWhenEdited)
+{
+    ResidentState resident;
+    MapReader disk;
+    disk.files["a.c"] = "void fa(void) { x = 1; }\n";
+    const std::vector<std::string> files = {"a.c", "a.c"};
+    ASSERT_TRUE(resident.prepareFiles(files, disk.reader()).ok);
+
+    // Both slots were parsed from a.c, but an in-place update by name
+    // reaches only one of them; the snapshot must not keep the other's
+    // stale text.
+    disk.files["a.c"] = "void fa(void) { x = 2; }\n";
+    PreparedProgram edited = resident.prepareFiles(files, disk.reader());
+    ASSERT_TRUE(edited.ok) << edited.error;
+    EXPECT_FALSE(edited.reused);
+    for (const lang::TranslationUnit& unit : edited.program->units())
+        EXPECT_EQ(edited.program->sourceManager().fileContents(unit.file_id),
+                  disk.files["a.c"]);
+
+    PreparedProgram again = resident.prepareFiles(files, disk.reader());
+    EXPECT_TRUE(again.reused);
+    EXPECT_EQ(again.files_reparsed, 0u);
+}
+
 TEST(ResidentPrograms, DifferentFileListBuildsASecondSnapshot)
 {
     ResidentState resident;
